@@ -47,31 +47,72 @@ class PointEvaluation:
         return float(np.sum(self.singular_values**2))
 
 
-def _z_power(z: np.ndarray, alpha: MultiIndex) -> complex:
-    out = complex(1.0)
-    for zi, e in zip(z, alpha.entries):
-        if e:
-            out *= zi**e
-    return out
+# Working memory one chunk of points may take in the batched evaluation.
+_CHUNK_BYTES = 2**21
 
 
-def _resolvent_input(pkg: DefectPackage, k: KernelSpec, z: np.ndarray):
-    """B(z) = Z(z) Ttilde* as a dimH x dimH matrix and the block row Z(z).
+def _monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """z^alpha for every point (rows of points) and every exponent row of
+    exps: a (number of points) x (number of exponents) table."""
+    return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
 
-    Both come straight out of the package's block row: the alpha-block of
-    Ttilde is sqrt(b_alpha) T^alpha, so b_alpha z^alpha (T^alpha)* is
-    sqrt(b_alpha) z^alpha times the block's adjoint.
+
+def _point_bytes(pkg: DefectPackage, d: int) -> int:
+    """Bytes one point takes in _theta_map: its monomials and psi row, B(z)
+    and the system, the right-hand side and solution, and theta."""
+    dim, rank_d = pkg.dim_h, pkg.rank_d
+    n_blocks = len(pkg.tilde_index_set)
+    return 16 * (
+        n_blocks * (d + 1) + 2 * dim * dim + 2 * dim * rank_d + 2 * pkg.rank_delta * rank_d
+    )
+
+
+def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerances) -> np.ndarray:
+    """reduce(z, theta) over the points, one memory-bounded chunk at a time.
+
+    For a chunk of p points, psi_alpha(z) = sqrt(b_alpha) z^alpha is formed
+    for all blocks at once; B(z) = sum psi_alpha (T^alpha)* and Z(z) Dtilde V
+    = sum psi_alpha (Dtilde V)_alpha are single contractions against the
+    block adjoints and the row blocks of Dtilde V, so the dimH x tilde_dim
+    row Z(z) is never built.  One stacked solve then gives
+    theta = -W* Ttilde V + (W* Delta) (I - B(z))^{-1} Z(z) Dtilde V.
+    reduce maps the chunk's points and its p x rank_delta x rank_d theta
+    stack to one value per point; each chunk is reduced before the next is
+    built, so memory stays near _CHUNK_BYTES whatever the number of points.
+
+    Raises OutsideBall if any point has ||z|| >= 1 (before any evaluation)
+    and NearSingular if the resolvent system's 2-norm condition number
+    exceeds the gate at any point.
     """
-    dim = pkg.dim_h
-    b = np.zeros((dim, dim), dtype=complex)
-    z_row = np.zeros((dim, pkg.tilde_dim), dtype=complex)
+    points = np.asarray(points, dtype=complex)
+    norms = np.linalg.norm(points, axis=1)
+    if np.any(norms >= 1.0):
+        raise OutsideBall(f"||z|| = {norms[np.argmax(norms >= 1.0)]:.6f} is not < 1")
+    dim, n_blocks, rank_d = pkg.dim_h, len(pkg.tilde_index_set), pkg.rank_d
+    exps = np.array([a.entries for a in pkg.tilde_index_set], dtype=int).reshape(n_blocks, k.d)
+    roots = np.sqrt([k.b_of(a) for a in pkg.tilde_index_set])
+    # t_tilde[i, alpha * dim + j] is entry (i, j) of the alpha-block
+    blocks = pkg.t_tilde.reshape(dim, n_blocks, dim)
+    b_adj = blocks.conj().transpose(1, 2, 0).reshape(n_blocks, dim * dim)
+    dv = (pkg.d_tilde @ pkg.v).reshape(n_blocks, dim * rank_d)
+    const = -pkg.w.conj().T @ pkg.t_tilde @ pkg.v
+    left = pkg.w.conj().T @ pkg.delta
     eye = np.eye(dim)
-    for idx, alpha in enumerate(pkg.tilde_index_set):
-        psi = np.sqrt(k.b_of(alpha)) * _z_power(z, alpha)
-        block = pkg.t_tilde[:, pkg.block_slice(idx)]
-        b += psi * block.conj().T
-        z_row[:, pkg.block_slice(idx)] = psi * eye
-    return b, z_row
+
+    chunk = max(1, _CHUNK_BYTES // _point_bytes(pkg, k.d))
+    out = []
+    for start in range(0, len(points), chunk):
+        zc = points[start:start + chunk]
+        psi = _monomials(zc, exps) * roots
+        system = eye - (psi @ b_adj).reshape(len(zc), dim, dim)
+        if dim and np.any(np.linalg.cond(system) > tol.near_singular_cond):
+            raise NearSingular(
+                "resolvent system is ill-conditioned at this point; reduce the "
+                "radius or raise the horizon"
+            )
+        x = np.linalg.solve(system, (psi @ dv).reshape(len(zc), dim, rank_d))
+        out.append(reduce(zc, const + left @ x))
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 def eval_theta(
@@ -82,27 +123,18 @@ def eval_theta(
 ) -> PointEvaluation:
     """Evaluate theta at a point of the open unit ball.
 
-    Solves (I - B(z)) X = Z(z) Dtilde directly; invertibility inside the ball
-    is guaranteed because ||B(z)|| <= 1 - 1/s(z, z) < 1 before truncation.
-    Raises OutsideBall for ||z|| >= 1 and NearSingular when the resolvent
-    system's condition number exceeds the gate (point too close to the
-    boundary for the horizon).
+    Solves (I - B(z)) X = Z(z) Dtilde V directly; invertibility inside the
+    ball is guaranteed because ||B(z)|| <= 1 - 1/s(z, z) < 1 before
+    truncation.  Raises OutsideBall for ||z|| >= 1 and NearSingular when the
+    resolvent system's condition number exceeds the gate (point too close
+    to the boundary for the horizon).  This is the one-point case of the
+    batched evaluation the curvature and fibre-dimension estimators use.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (k.d,):
         raise ValueError(f"point must have {k.d} coordinates, got {z.shape}")
-    if np.linalg.norm(z) >= 1.0:
-        raise OutsideBall(f"||z|| = {np.linalg.norm(z):.6f} is not < 1")
-    b, z_row = _resolvent_input(pkg, k, z)
-    system = np.eye(pkg.dim_h) - b
-    if pkg.dim_h and np.linalg.cond(system) > tol.near_singular_cond:
-        raise NearSingular(
-            "resolvent system is ill-conditioned at this point; reduce the "
-            "radius or raise the horizon"
-        )
-    x = np.linalg.solve(system, z_row @ pkg.d_tilde)
-    theta = pkg.w.conj().T @ (-pkg.t_tilde + pkg.delta @ x) @ pkg.v
-    sv = np.linalg.svd(theta, compute_uv=False) if theta.size else np.zeros(0)
+    theta = _theta_map(pkg, k, z[None, :], lambda zc, th: th, tol)[0]
+    sv = np.linalg.svd(theta, compute_uv=False)
     return PointEvaluation(z=z, theta=theta, singular_values=sv)
 
 
@@ -136,11 +168,15 @@ class CharacteristicSeries:
         return float(np.sum(np.abs(a) ** 2))
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
-        """Sum of A_gamma z^gamma over the stored coefficients."""
-        out = np.zeros((self.rank_delta, self.rank_d), dtype=complex)
-        for key, a in self.coeffs.items():
-            out += a * _z_power(z, MultiIndex(key))
-        return out
+        """Sum of A_gamma z^gamma over the stored coefficients, at one point
+        (shape (d,)) or at each row of a stack of points (shape (p, d))."""
+        z = np.asarray(z, dtype=complex)
+        exps = np.array(list(self.coeffs), dtype=int).reshape(len(self.coeffs), self.d)
+        stack = np.array(list(self.coeffs.values())).reshape(
+            len(self.coeffs), self.rank_delta, self.rank_d
+        )
+        out = np.tensordot(_monomials(np.atleast_2d(z), exps), stack, axes=1)
+        return out if z.ndim == 2 else out[0]
 
 
 def taylor(
@@ -274,9 +310,12 @@ def check_consistency(
     stay below (1 + eps) * r^{n_theta+1} / (1 - r).
     """
     points = sample_ball_points(k.d, n_samples, r_check, seed)
-    worst = 0.0
-    for z in points:
-        pe = eval_theta(pkg, k, z, tol=tol)
-        worst = max(worst, op_norm(pe.theta - series.evaluate(z)))
+
+    def residuals(zc, theta):
+        diff = theta - series.evaluate(zc)
+        return np.linalg.svd(diff, compute_uv=False)[:, 0] if diff.size else np.zeros(len(zc))
+
+    residual = _theta_map(pkg, k, points, residuals, tol)
+    worst = float(residual.max()) if residual.size else 0.0
     bound = (1.0 + 1e-8) * r_check ** (series.n_theta + 1) / (1.0 - r_check)
     return ConsistencyCheck(max_residual=worst, tail_bound=bound + tol.eps_id)

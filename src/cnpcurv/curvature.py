@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import CharacteristicSeries, eval_theta, sample_ball_points
+from .charfn import CharacteristicSeries, _theta_map, sample_ball_points
 from .comb import enumerate_degree, multinomial, q
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -130,10 +130,10 @@ def curvature_integral(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     points = sample_ball_points(k.d, n_samples, radius, seed)
-    vals = np.empty(n_samples)
-    for i, z in enumerate(points):
-        pe = eval_theta(pkg, k, z, tol=tol)
-        vals[i] = pkg.rank_delta - pe.trace_theta_theta_star
+    frob_sq = _theta_map(
+        pkg, k, points, lambda zc, theta: np.sum(np.abs(theta) ** 2, axis=(1, 2)), tol
+    )
+    vals = pkg.rank_delta - frob_sq
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return IntegralEstimate(
         estimate=float(vals.mean()),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharacteristicSeries, eval_theta
+from .charfn import CharacteristicSeries, _theta_map
 from .comb import q
 from .config import DEFAULT, Tolerances
 from .errors import HorizonExceeded, NotPure
@@ -29,13 +29,13 @@ __all__ = [
 ]
 
 
-def _numerical_rank(matrix: np.ndarray, eps_rank: float) -> int:
-    if matrix.size == 0:
-        return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > eps_rank * sv[0]))
+def _numerical_ranks(stack: np.ndarray, eps_rank: float) -> np.ndarray:
+    """Numerical rank of each matrix of a stack: singular values above
+    eps_rank times the largest (0 for a zero or empty matrix)."""
+    if stack.size == 0:
+        return np.zeros(len(stack), dtype=int)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sv > eps_rank * sv[:, :1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,13 @@ def fd_report(
     g = rng.standard_normal((n_samples, k.d)) + 1j * rng.standard_normal((n_samples, k.d))
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     radii = radius * (0.5 + 0.5 * rng.random(n_samples))
-    samples = []
-    best = 0
-    for i in range(n_samples):
-        z = radii[i] * u[i]
-        pe = eval_theta(pkg, k, z, tol=tol)
-        rank = _numerical_rank(pe.theta, tol.eps_rank)
-        best = max(best, rank)
-        samples.append((tuple(z), rank))
-    attained = sum(1 for _, rank in samples if rank == best) / n_samples
+    points = radii[:, None] * u
+    ranks = _theta_map(
+        pkg, k, points, lambda zc, theta: _numerical_ranks(theta, tol.eps_rank), tol
+    )
+    samples = [(tuple(z), int(rank)) for z, rank in zip(points, ranks)]
+    best = int(ranks.max())
+    attained = int(np.sum(ranks == best)) / n_samples
     if purity_residual is not None and purity_residual <= tol.eps_pure:
         label = "fd (GRS proxy)"
     else:
@@ -116,7 +114,7 @@ def fd_by_grading(
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):
         m = multiplier_matrix(k, series.coeffs, n, n)
-        out[n] = _numerical_rank(m, tol.eps_rank) / q(k.d, n)
+        out[n] = _numerical_ranks(m[None], tol.eps_rank)[0] / q(k.d, n)
     return out
 
 

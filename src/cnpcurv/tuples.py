@@ -11,6 +11,8 @@ so they are omitted from the block index set.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +99,17 @@ class OperatorTuple:
         return [op_norm(t) for t in self.ops]
 
 
-def load_tuple(matrices, eps_comm: float | None = None, tol: Tolerances = DEFAULT) -> OperatorTuple:
-    """Validate shapes and commutativity and wrap the matrices.
+# Largest operator norm whose square is a finite float.
+_NORM_LIMIT = math.sqrt(sys.float_info.max)
 
-    eps_comm defaults to comm_rel * max(1, max ||T_i||^2) so the gate is
-    scale invariant.
+
+def load_tuple(matrices, eps_comm: float | None = None, tol: Tolerances = DEFAULT) -> OperatorTuple:
+    """Validate shapes, entries and commutativity and wrap the matrices.
+
+    Raises ShapeError for non-square or mismatched shapes, non-finite
+    entries, or a norm whose square is not a finite float.  eps_comm
+    defaults to comm_rel * max(1, max ||T_i||^2) so the gate is scale
+    invariant.
     """
     ops = [np.asarray(m, dtype=complex).copy() for m in matrices]
     if len(ops) < 1:
@@ -112,8 +120,16 @@ def load_tuple(matrices, eps_comm: float | None = None, tol: Tolerances = DEFAUL
     for t in ops:
         if t.shape != dim:
             raise ShapeError(f"inconsistent operator shapes: {t.shape} vs {dim}")
+        if not np.all(np.isfinite(t)):
+            raise ShapeError("operator entries must be finite numbers")
+    norm_max = max(op_norm(t) for t in ops)
+    if norm_max > _NORM_LIMIT:
+        raise ShapeError(
+            f"operator norm {norm_max:.3e} is out of range: its square is not a "
+            "finite float"
+        )
     if eps_comm is None:
-        scale = max(1.0, max(op_norm(t) for t in ops) ** 2)
+        scale = max(1.0, norm_max**2)
         eps_comm = tol.comm_rel * scale
     residual = 0.0
     for i in range(len(ops)):
@@ -145,12 +161,16 @@ def nilpotency_degree(t: OperatorTuple, threshold: float | None = None) -> int |
     """Smallest m <= dimH with T^alpha = 0 for all |alpha| = m, if any.
 
     When it exists every graded series over alpha terminates exactly at
-    degree m - 1.
+    degree m - 1.  The powers are taken of T / c with c = max(1, ||T_i||),
+    so neither they nor the default relative threshold 1e-12 c^m overflow.
     """
     c = max(t.norms() + [1.0])
-    powers = monomial_powers(t, t.dim_h)
+    scaled = OperatorTuple(
+        ops=tuple(op / c for op in t.ops), commutator_residual=t.commutator_residual / c**2
+    )
+    powers = monomial_powers(scaled, t.dim_h)
     for m in range(1, t.dim_h + 1):
-        thr = threshold if threshold is not None else 1e-12 * c**m
+        thr = 1e-12 if threshold is None else threshold * c**-m
         if all(
             op_norm(powers[a.entries]) <= thr for a in enumerate_degree(t.d, m)
         ):
@@ -210,7 +230,10 @@ def _tail_certificate(t: OperatorTuple, k: KernelSpec, n_op: int) -> float:
     if k.b_is_zero_beyond(n_op):
         return 0.0
     rho = sum(x**2 for x in t.norms())
-    known = float(sum(k.b[n] * rho**n for n in range(n_op + 1, k.N + 1)))
+    try:
+        known = float(sum(k.b[n] * rho**n for n in range(n_op + 1, k.N + 1)))
+    except OverflowError:  # rho**n beyond the float range
+        known = math.inf
     residual_mass = max(0.0, 1.0 - k.b_partial_sum(k.N))
     if rho < 1.0:
         return known + residual_mass * rho ** (k.N + 1)

@@ -143,6 +143,17 @@ class TestCurvatureCommand:
         assert rc == EXIT_CODES["NotContraction"] == 5
         assert "NotContraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(float("nan"), "must be finite"), (1e308, "out of range")],
+    )
+    def test_out_of_range_entry_exit_code(self, tmp_path, capsys, entry, message):
+        f = write_tuple(tmp_path / "bad.json", [np.array([[0.0, 0.0], [entry, 0.0]])])
+        rc = main(["curvature", "--input", f, "--kernel", "drury-arveson"])
+        assert rc == EXIT_CODES["ShapeError"] == 4
+        err = capsys.readouterr().err
+        assert "ShapeError" in err and message in err
+
     def test_noncommuting_exit_code(self, tmp_path, capsys):
         t1 = np.array([[0.0, 0.4], [0.0, 0.0]])
         t2 = np.array([[0.0, 0.0], [0.4, 0.0]])
@@ -288,6 +299,8 @@ class TestDemoScripts:
             "01_kernel_tables.py",
             "02_defect_package.py",
             "03_characteristic_function.py",
+            "04_curvature_three_ways.py",
+            "05_fibre_dimension.py",
         ],
     )
     def test_demo_runs(self, name):

@@ -39,6 +39,19 @@ class TestLoadTuple:
         with pytest.raises(ShapeError):
             cc.load_tuple([np.zeros((2, 3))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.zeros((2, 2), dtype=complex)
+        m[1, 0] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            cc.load_tuple([np.zeros((2, 2)), m], eps_comm=1.0)
+
+    def test_norm_with_overflowing_square_rejected(self):
+        with pytest.raises(ShapeError, match="out of range"):
+            cc.load_tuple([np.array([[0.0, 0.0], [1e308, 0.0]])])
+        # the largest norm whose square is finite still loads
+        cc.load_tuple([np.array([[0.0, 0.0], [1e154, 0.0]])])
+
 
 class TestNilpotency:
     def test_zero_on_c3(self):
@@ -49,6 +62,12 @@ class TestNilpotency:
 
     def test_scalar_half(self):
         assert cc.nilpotency_degree(cc.load_tuple([np.array([[0.5]])])) is None
+
+    def test_large_norm_does_not_overflow(self):
+        # ||T||^m overflows a float for m = 3; the degree is found from T / ||T||
+        t = cc.load_tuple([1e150 * jordan_block(3)])
+        assert cc.nilpotency_degree(t) == 3
+        assert cc.nilpotency_degree(cc.load_tuple([np.diag([1e150, 0.0])])) is None
 
     def test_default_horizon_clamps(self):
         assert default_horizon(cc.load_tuple([np.zeros((2, 2))])) == 1
@@ -98,6 +117,12 @@ class TestDefectPackage:
         k = cc.preset("dirichlet", d=1, N=10)
         with pytest.raises(TailUnbounded):
             cc.defect_package(cc.load_tuple([1.5 * np.eye(2)]), k, n_op=5)
+
+    def test_tail_unbounded_before_powers_overflow(self):
+        # rho = 1e300: the tail's rho^n would overflow a float for n >= 2
+        k = cc.preset("dirichlet", d=1, N=10)
+        with pytest.raises(TailUnbounded):
+            cc.defect_package(cc.load_tuple([np.diag([1e150, 0.0])]), k, n_op=3)
 
     def test_nonnilpotent_requires_horizon(self):
         k = cc.preset("szego", d=1, N=10)
