@@ -7,8 +7,9 @@ Layers, bottom up:
 * kernel    coefficient tables a_n, b_n, weight rows, regularity trends
 * tuples    commuting tuples, contraction test, defect package
 * charfn    characteristic function: point evaluation and Taylor series
-* traces    graded traces on truncated vector-valued polynomial spaces
-* curvature the invariant by series / weighted / integral routes
+* traces    the multiplication matrix on truncated polynomial spaces
+* curvature the degree profile and the invariant by series / weighted /
+            integral routes
 * fibredim  fibre dimension by evaluation rank and graded dimensions
 * pipeline  one-call orchestration producing a full report
 * cli       the `cnpcurv` command
@@ -46,14 +47,14 @@ from .tuples import (
 from .charfn import CharacteristicSeries, PointEvaluation, check_consistency, eval_theta, taylor
 from .curvature import (
     CurvatureReport,
+    DegreeProfile,
     curvature_integral,
     curvature_pure,
     curvature_weighted,
-    exact_sphere_average,
+    ordering_rows,
     reconcile,
-    trace_dpsi_series,
 )
-from .fibredim import FibreDimReport, fd_by_evaluation, fd_by_grading, fd_report, innermult_consistency
+from .fibredim import FibreDimReport, fd_by_grading, fd_report, innermult_consistency
 from .pipeline import PipelineResult, RunSettings, run_curvature
 
 __version__ = "0.1.0"

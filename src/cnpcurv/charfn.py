@@ -87,7 +87,7 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
     points = np.asarray(points, dtype=complex)
     norms = np.linalg.norm(points, axis=1)
     if np.any(norms >= 1.0):
-        raise OutsideBall(f"||z|| = {norms[np.argmax(norms >= 1.0)]:.6f} is not < 1")
+        raise OutsideBall(f"||z|| = {norms[np.argmax(norms >= 1.0)]:.6g} is not < 1")
     dim, n_blocks, rank_d = pkg.dim_h, len(pkg.tilde_index_set), pkg.rank_d
     exps = np.array([a.entries for a in pkg.tilde_index_set], dtype=int).reshape(n_blocks, k.d)
     roots = np.sqrt([k.b_of(a) for a in pkg.tilde_index_set])

@@ -148,6 +148,19 @@ def _kernel_for(args, d: int, *extra: int):
     )
 
 
+def _setup(args, package: bool = True):
+    """(tuple, kernel, defect package at --horizon or None); the kernel
+    horizon also covers the nilpotency default plus dimH."""
+    from .formats import load_tuple_json
+    from .tuples import default_horizon, defect_package
+
+    t = load_tuple_json(args.input)
+    auto = default_horizon(t)
+    k = _kernel_for(args, t.d, *([auto + t.dim_h] if auto is not None else []))
+    pkg = defect_package(t, k, n_op=args.horizon) if package else None
+    return t, k, pkg
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -229,14 +242,10 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .formats import dumps_json17, format_float17, load_tuple_json
+    from .formats import dumps_json17, format_float17
     from .pipeline import RunSettings, run_curvature
-    from .tuples import default_horizon
 
-    t = load_tuple_json(args.input)
-    auto = default_horizon(t)
-    extra = [auto + t.dim_h] if auto is not None else []
-    k = _kernel_for(args, t.d, *extra)
+    t, k, _ = _setup(args, package=False)
     settings = RunSettings(
         n_op=args.horizon,
         n_theta=args.theta_horizon,
@@ -287,17 +296,12 @@ def cmd_theta(args) -> int:
     import numpy as np
 
     from .charfn import eval_theta, taylor
-    from .formats import dumps_json17, format_float17, load_tuple_json
-    from .tuples import default_horizon, defect_package
+    from .formats import dumps_json17, format_float17
 
-    t = load_tuple_json(args.input)
+    t, k, pkg = _setup(args)
     point = np.array([complex(part) for part in args.point.split(",")])
     if point.shape != (t.d,):
         raise ValueError(f"point needs {t.d} coordinates, got {point.shape[0]}")
-    auto = default_horizon(t)
-    extra = [auto + t.dim_h] if auto is not None else []
-    k = _kernel_for(args, t.d, *extra)
-    pkg = defect_package(t, k, n_op=args.horizon)
     pe = eval_theta(pkg, k, point)
     print("theta entries ([re, im] per column):")
     for row in pe.theta:
@@ -316,17 +320,11 @@ def cmd_theta(args) -> int:
 def cmd_traces(args) -> int:
     from .charfn import taylor
     from .comb import q
-    from .curvature import ordering_rows
-    from .formats import format_float17, load_tuple_json
-    from .tuples import default_horizon, defect_package
+    from .curvature import DegreeProfile, ordering_rows
+    from .formats import format_float17
 
-    t = load_tuple_json(args.input)
-    auto = default_horizon(t)
-    extra = [auto + t.dim_h] if auto is not None else []
-    k = _kernel_for(args, t.d, *extra)
-    pkg = defect_package(t, k, n_op=args.horizon)
-    series = taylor(pkg, k)
-    rows = ordering_rows(series, k, args.max_n)
+    _, k, pkg = _setup(args)
+    rows = ordering_rows(DegreeProfile.build(taylor(pkg, k), k, args.max_n))
     print("n,trace_E,trace_E_normalized,trace_P_normalized,dpsi_partial")
     for row in rows:
         te = row["t_e_normalized"] * q(k.d - 1, row["n"])
@@ -347,14 +345,10 @@ def cmd_traces(args) -> int:
 def cmd_fd(args) -> int:
     from .charfn import taylor
     from .fibredim import fd_by_grading, fd_report
-    from .formats import dumps_json17, load_tuple_json
-    from .tuples import default_horizon, defect_package, purity
+    from .formats import dumps_json17
+    from .tuples import purity
 
-    t = load_tuple_json(args.input)
-    auto = default_horizon(t)
-    extra = [auto + t.dim_h] if auto is not None else []
-    k = _kernel_for(args, t.d, *extra)
-    pkg = defect_package(t, k, n_op=args.horizon)
+    t, k, pkg = _setup(args)
     pur = purity(t, k, pkg)
     rep = fd_report(
         pkg,

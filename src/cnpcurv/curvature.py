@@ -1,15 +1,13 @@
 """The curvature invariant by three routes, and their reconciliation.
 
-Routes:
-  series   : dim(Ran Delta) - sum over coefficients of
-             trace(A_gamma A_gamma*) / (q_{d-1}(|gamma|) binom(|gamma|, gamma))
-  weighted : dim(Ran Delta) - sum_i w_{i,n} trace(M M* E_i)/q_{d-1}(i),
-             per-degree traces taken from the coefficient formula (exact for
+Every scalar route reads one DegreeProfile (c_n and t_E(n), see there):
+  series   : dim(Ran Delta) - sum_n c_n
+  weighted : dim(Ran Delta) - sum_{i<=n} w_{i,n} t_E(i) (exact for
              polynomial symbols, cheaper than materializing the multiplier)
   integral : Monte-Carlo sphere average of dim(Ran Delta) - trace(theta theta*)
              at a fixed radius < 1 (radial limits are not computable; the
-             radius is reported, and the exact same-radius average from the
-             coefficients quantifies what the truncation loses)
+             radius is reported, and the exact same-radius average
+             sum_n c_n r^{2n} quantifies what the truncation loses)
 
 The purity-gated integer route dim(Ran Delta) - fd closes the loop.
 """
@@ -20,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charfn import CharacteristicSeries, _theta_map, sample_ball_points
-from .comb import enumerate_degree, multinomial, q
+from .comb import multinomial, q
 from .config import DEFAULT, Tolerances
 from .errors import (
     HorizonExceeded,
@@ -32,78 +30,105 @@ from .kernel import KernelSpec, weights
 from .tuples import DefectPackage
 
 __all__ = [
+    "DegreeProfile",
     "IntegralEstimate",
     "CurvatureReport",
     "ReconcileCheck",
     "ReconcileVerdict",
-    "trace_dpsi_series",
-    "dpsi_series_by_degree",
     "theta_trace_E_normalized",
     "curvature_weighted",
     "curvature_integral",
-    "exact_sphere_average",
     "curvature_pure",
+    "ordering_rows",
     "reconcile",
 ]
 
 
-def dpsi_series_by_degree(series: CharacteristicSeries, k: KernelSpec) -> np.ndarray:
-    """c_n = sum_{|gamma|=n} trace(A_gamma A_gamma*) /
-    (q_{d-1}(n) binom(n, gamma)) for n = 0..n_theta.
+@dataclass(frozen=True)
+class DegreeProfile:
+    """c[n] = sum_{|gamma|=n} trace(A_gamma A_gamma*) / (q_{d-1}(n) binom(n, gamma))
+    for n = 0..n_theta: the degree contributions to trace(dPsi(M M*)) and the
+    coefficients of the exact sphere average of trace(theta theta*) in r^2
+    (the sphere integral of |z^gamma|^2 is 1 / (q_{d-1} binom)).
 
-    These are the degree contributions to trace(dPsi(M M*)) and, at the same
-    time, the coefficients of the exact sphere average of trace(theta theta*)
-    as a power series in r^2 (the sphere integral of |z^gamma|^2 being
-    1 / (q_{d-1} binom))."""
-    c = np.zeros(series.n_theta + 1)
-    for key, a in series.coeffs.items():
-        n = sum(key)
-        t = float(np.sum(np.abs(a) ** 2))
-        if t:
-            c[n] += t / (q(k.d - 1, n) * multinomial(key))
-    return c
+    t_e[n] = trace(M M* E_n) / q_{d-1}(n) = sum_{i<=n} a_{n-i} c_i / a_n for
+    n = 0..n_max.  Exact for polynomial symbols once n_theta covers the
+    degree; otherwise a partial sum with the cutoff noted by the caller."""
 
+    kernel: KernelSpec
+    c: np.ndarray
+    t_e: np.ndarray
 
-def trace_dpsi_series(series: CharacteristicSeries, k: KernelSpec) -> float:
-    """Partial sum (up to the series horizon) of trace(dPsi(M M*)); it is
-    non-decreasing in the horizon."""
-    return float(np.sum(dpsi_series_by_degree(series, k)))
+    @classmethod
+    def build(cls, series: CharacteristicSeries, k: KernelSpec, n_max: int = 0) -> DegreeProfile:
+        """The one pass over the Taylor coefficients.  Raises HorizonExceeded
+        when n_max lies beyond the kernel horizon."""
+        if n_max > k.N:
+            raise HorizonExceeded(f"degree {n_max} beyond kernel horizon {k.N}")
+        c = np.zeros(series.n_theta + 1)
+        for key in series.coeffs:
+            n = sum(key)
+            t = series.coeff_gram_trace(key)
+            if t:
+                c[n] += t / (q(k.d - 1, n) * multinomial(key))
+        t_e = np.empty(n_max + 1)
+        for n in range(n_max + 1):
+            m = min(n, series.n_theta)
+            t_e[n] = float(np.dot(k.a[n - m : n + 1][::-1], c[: m + 1]) / k.a[n])
+        return cls(kernel=k, c=c, t_e=t_e)
+
+    @property
+    def series_value(self) -> float:
+        """Partial sum (up to the series horizon) of trace(dPsi(M M*)); it is
+        non-decreasing in the horizon."""
+        return float(np.sum(self.c))
+
+    def sphere_average(self, radius: float) -> float:
+        """Exact sphere average of trace(theta theta*) at the given radius:
+        sum_n c_n r^{2n}."""
+        return float(np.dot(self.c, radius ** (2 * np.arange(len(self.c)))))
+
+    @property
+    def dpsi_partial(self) -> np.ndarray:
+        """sum_{i<=n} c_i for n = 0..n_max."""
+        cum = np.cumsum(self.c)
+        return cum[np.minimum(np.arange(len(self.t_e)), len(cum) - 1)]
+
+    @property
+    def t_p(self) -> np.ndarray:
+        """trace(M M* P_n) / q_d(n) = sum_{i<=n} q_{d-1}(i) t_E(i) / q_d(n)."""
+        d = self.kernel.d
+        n = range(len(self.t_e))
+        return np.cumsum(np.array([q(d - 1, i) for i in n]) * self.t_e) / np.array(
+            [q(d, i) for i in n]
+        )
 
 
 def theta_trace_E_normalized(series: CharacteristicSeries, k: KernelSpec, n: int) -> float:
-    """trace(M M* E_n) / q_{d-1}(n) from the Taylor coefficients:
-
-        sum_{i<=n} sum_{|alpha|=i} (a_{n-i}/a_n) (1/q_{d-1}(i))
-                   trace(A_alpha A_alpha*) / binom(i, alpha).
-
-    Exact for polynomial symbols once n_theta covers the degree; otherwise a
-    partial sum with the cutoff noted by the caller."""
-    if n > k.N:
-        raise HorizonExceeded(f"degree {n} beyond kernel horizon {k.N}")
-    total = 0.0
-    for i in range(min(n, series.n_theta) + 1):
-        ratio = float(k.a[n - i] / k.a[n]) / q(k.d - 1, i)
-        for alpha in enumerate_degree(k.d, i):
-            t = series.coeff_gram_trace(alpha)
-            if t:
-                total += ratio * t / multinomial(alpha)
-    return total
+    """trace(M M* E_n) / q_{d-1}(n): the degree-n entry of the profile's t_e."""
+    return float(DegreeProfile.build(series, k, n).t_e[n])
 
 
-def curvature_weighted(
-    pkg: DefectPackage,
-    k: KernelSpec,
-    series: CharacteristicSeries,
-    n_max: int,
-) -> np.ndarray:
-    """K_weighted(n) = dim(Ran Delta) - sum_{i<=n} w_{i,n} t_E(i)/q_{d-1}(i)
+def curvature_weighted(profile: DegreeProfile, rank_delta: int) -> np.ndarray:
+    """K_weighted(n) = dim(Ran Delta) - sum_{i<=n} w_{i,n} t_E(i)
     for n = 0..n_max."""
-    te = [theta_trace_E_normalized(series, k, i) for i in range(n_max + 1)]
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        row = weights(k, n).w
-        out[n] = pkg.rank_delta - float(np.dot(row, te[: n + 1]))
+    out = np.empty(len(profile.t_e))
+    for n in range(len(out)):
+        row = weights(profile.kernel, n).w
+        out[n] = rank_delta - float(np.dot(row, profile.t_e[: n + 1]))
     return out
+
+
+def ordering_rows(profile: DegreeProfile) -> list[dict]:
+    """Finite-n monitoring table: normalized E-trace, normalized P-trace and
+    the dPsi partial sum per degree n = 0..n_max."""
+    # dpsi_partial stays a numpy scalar: the ordering checks compare against
+    # it, and the JSON report prints their numpy bools as "True"; changing
+    # the type would change every report
+    return [
+        {"n": n, "t_e_normalized": float(te), "t_p_normalized": float(tp), "dpsi_partial": dp}
+        for n, (te, tp, dp) in enumerate(zip(profile.t_e, profile.t_p, profile.dpsi_partial))
+    ]
 
 
 @dataclass(frozen=True)
@@ -144,18 +169,10 @@ def curvature_integral(
     )
 
 
-def exact_sphere_average(series: CharacteristicSeries, k: KernelSpec, radius: float) -> float:
-    """Exact sphere average of trace(theta theta*) at the given radius,
-    summed from the stored coefficients: sum_n c_n r^{2n}."""
-    c = dpsi_series_by_degree(series, k)
-    powers = radius ** (2 * np.arange(len(c)))
-    return float(np.dot(c, powers))
-
-
 def curvature_pure(
     pkg: DefectPackage,
-    k: KernelSpec,
     series: CharacteristicSeries,
+    profile: DegreeProfile,
     fd_estimate: int,
     purity_residual: float,
     tol: Tolerances = DEFAULT,
@@ -169,7 +186,7 @@ def curvature_pure(
         raise NotPure(
             f"purity residual {purity_residual:.3e} exceeds {tol.eps_pure:.1e}"
         )
-    k_series = pkg.rank_delta - trace_dpsi_series(series, k)
+    k_series = pkg.rank_delta - profile.series_value
     if series.is_polynomial and abs(k_series - round(k_series)) > 0.05:
         raise IntegerMismatch(
             f"series curvature {k_series:.6f} is not near an integer although "
@@ -217,28 +234,6 @@ class CurvatureReport:
     tail_bound: float
     convergence: list[dict] = field(default_factory=list)
     verdict: ReconcileVerdict | None = None
-
-
-def _ordering_rows(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> list[dict]:
-    """Finite-n monitoring table from the coefficient routes: normalized
-    E-trace, normalized P-trace, and the dPsi partial sum per degree."""
-    c = dpsi_series_by_degree(series, k)
-    te = [theta_trace_E_normalized(series, k, n) for n in range(n_max + 1)]
-    rows = []
-    run_p = 0.0
-    run_dpsi = 0.0
-    for n in range(n_max + 1):
-        run_p += q(k.d - 1, n) * te[n]
-        run_dpsi += c[n] if n < len(c) else 0.0
-        rows.append(
-            {
-                "n": n,
-                "t_e_normalized": te[n],
-                "t_p_normalized": run_p / q(k.d, n),
-                "dpsi_partial": run_dpsi,
-            }
-        )
-    return rows
 
 
 def reconcile(
@@ -374,7 +369,3 @@ def reconcile(
         )
     return verdict
 
-
-def ordering_rows(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> list[dict]:
-    """Public wrapper for the finite-n monitoring table."""
-    return _ordering_rows(series, k, n_max)

@@ -22,7 +22,6 @@ from .tuples import DefectPackage
 __all__ = [
     "FibreDimReport",
     "InnermultVerdict",
-    "fd_by_evaluation",
     "fd_report",
     "fd_by_grading",
     "innermult_consistency",
@@ -49,19 +48,6 @@ class FibreDimReport:
     fd_graded_slope: float | None = None
 
 
-def fd_by_evaluation(
-    pkg: DefectPackage,
-    k: KernelSpec,
-    n_samples: int = 50,
-    radius: float = 0.8,
-    seed: int = 11,
-    tol: Tolerances = DEFAULT,
-) -> int:
-    """Max numerical rank of theta(z) over sampled points (radii spread over
-    [radius/2, radius] to guard degenerate sampling)."""
-    return fd_report(pkg, k, n_samples, radius, seed, tol=tol).fd_eval
-
-
 def fd_report(
     pkg: DefectPackage,
     k: KernelSpec,
@@ -71,6 +57,9 @@ def fd_report(
     purity_residual: float | None = None,
     tol: Tolerances = DEFAULT,
 ) -> FibreDimReport:
+    """Max numerical rank of theta(z) over sampled points (radii spread over
+    [radius/2, radius] to guard degenerate sampling), with the share of
+    samples attaining it."""
     if n_samples < 20:
         raise ValueError("n_samples must be >= 20 (rank sampling needs spread)")
     rng = np.random.default_rng(seed)

@@ -7,13 +7,12 @@ from .charfn import taylor, default_taylor_horizon
 from .config import DEFAULT, Tolerances
 from .curvature import (
     CurvatureReport,
+    DegreeProfile,
     curvature_integral,
     curvature_pure,
     curvature_weighted,
-    exact_sphere_average,
     ordering_rows,
     reconcile,
-    trace_dpsi_series,
 )
 from .errors import IntegerMismatch, NotPure
 from .fibredim import fd_by_grading, fd_report, innermult_consistency
@@ -40,6 +39,7 @@ class RunSettings:
 class PipelineResult:
     report: CurvatureReport
     series: object
+    profile: DegreeProfile
     pkg: object
     purity: object
     fd: object
@@ -47,8 +47,11 @@ class PipelineResult:
 
 
 def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()) -> PipelineResult:
-    """load -> defect -> purity -> taylor -> traces -> curvature -> fd ->
-    reconcile, collecting everything into a CurvatureReport."""
+    """load -> defect -> purity -> taylor -> degree profile -> curvature ->
+    fd -> reconcile, collecting everything into a CurvatureReport.
+
+    The degree profile is built once from the Taylor series; the series,
+    weighted, exact sphere-average, pure and monitoring routes all read it."""
     tol = settings.tol
     pkg = defect_package(t, k, n_op=settings.n_op, tol=tol)
     pur = purity(t, k, pkg)
@@ -57,9 +60,10 @@ def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSe
         n_theta = default_taylor_horizon(pkg, k)
     series = taylor(pkg, k, n_theta=n_theta, tol=tol)
 
-    dpsi = trace_dpsi_series(series, k)
+    profile = DegreeProfile.build(series, k, settings.n_max)
+    dpsi = profile.series_value
     k_series = pkg.rank_delta - dpsi
-    k_w = curvature_weighted(pkg, k, series, settings.n_max)
+    k_w = curvature_weighted(profile, pkg.rank_delta)
     k_int = curvature_integral(
         pkg, k,
         radius=settings.radius,
@@ -67,7 +71,7 @@ def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSe
         seed=settings.seed,
         tol=tol,
     )
-    k_at_r = pkg.rank_delta - exact_sphere_average(series, k, settings.radius)
+    k_at_r = pkg.rank_delta - profile.sphere_average(settings.radius)
 
     fd_rep = fd_report(
         pkg, k,
@@ -80,14 +84,14 @@ def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSe
     graded = fd_by_grading(series, k, min(settings.n_max, k.N), tol=tol)
     fd_rep = _with_grading(fd_rep, graded)
 
-    rows = ordering_rows(series, k, settings.n_max)
+    rows = ordering_rows(profile)
 
     k_pure = None
     inner = None
     if pur.purity_residual <= tol.eps_pure:
         try:
             k_pure = curvature_pure(
-                pkg, k, series, fd_rep.fd_eval, pur.purity_residual, tol=tol
+                pkg, series, profile, fd_rep.fd_eval, pur.purity_residual, tol=tol
             )
         except (NotPure, IntegerMismatch):
             k_pure = None
@@ -120,7 +124,8 @@ def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSe
     )
     report.verdict = reconcile(report, series, pkg, k, tol=tol)
     return PipelineResult(
-        report=report, series=series, pkg=pkg, purity=pur, fd=fd_rep, innermult=inner
+        report=report, series=series, profile=profile, pkg=pkg, purity=pur, fd=fd_rep,
+        innermult=inner,
     )
 
 

@@ -1,40 +1,19 @@
-"""Graded trace machinery on truncated vector-valued polynomial spaces.
+"""The multiplication matrix on truncated vector-valued polynomial spaces.
 
 The ambient space is span{eps_beta (x) e_j : |beta| <= max_degree, j < r}
 where eps_beta = sqrt(a_beta) z^beta is the orthonormal monomial basis for
-the kernel's norms.  Truncation effects are confined to the top degrees:
-every per-degree trace computed here is exact as long as the requested
-degree stays within the stated window, because the raising maps compressed
-at the top only affect higher degrees.
+the kernel's norms.  fd_by_grading takes ranks of the matrix of M_phi
+truncated to source and target degree n; the scalar routes never build it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .comb import MultiIndex, as_multi_index, enumerate_degree, multinomial, q
-from .config import DEFAULT, Tolerances
+from .comb import MultiIndex, enumerate_degree
 from .errors import HorizonExceeded
-from .kernel import KernelSpec, weights
+from .kernel import KernelSpec
 
-__all__ = [
-    "PolySpace",
-    "GradedTraceRow",
-    "mz_matrix",
-    "phi_apply",
-    "trace_E",
-    "trace_P",
-    "trace_phi_E",
-    "dpsi_trace_partial",
-    "weighted_degree_trace",
-    "multiplier_matrix",
-    "multiplier_gram",
-    "series_identity_check",
-    "factx_check",
-    "trace_table",
-]
+__all__ = ["PolySpace", "multiplier_matrix"]
 
 
 class PolySpace:
@@ -52,17 +31,10 @@ class PolySpace:
         self.kernel = kernel
         self.r = r
         self.max_degree = max_degree
-        self.betas: list[MultiIndex] = []
-        self._degree_start: list[int] = []
-        for n in range(max_degree + 1):
-            self._degree_start.append(len(self.betas))
-            self.betas.extend(enumerate_degree(kernel.d, n))
-        self._degree_start.append(len(self.betas))
+        self.betas: list[MultiIndex] = [
+            beta for n in range(max_degree + 1) for beta in enumerate_degree(kernel.d, n)
+        ]
         self._pos = {b.entries: i for i, b in enumerate(self.betas)}
-
-    @property
-    def d(self) -> int:
-        return self.kernel.d
 
     @property
     def dim(self) -> int:
@@ -72,189 +44,6 @@ class PolySpace:
         """Flat index of eps_beta (x) e_j."""
         key = beta.entries if isinstance(beta, MultiIndex) else tuple(beta)
         return self._pos[key] * self.r + j
-
-    def degree_slice(self, n: int) -> slice:
-        """Flat indices of the homogeneous degree-n block."""
-        if n > self.max_degree:
-            raise HorizonExceeded(
-                f"degree {n} beyond space truncation {self.max_degree}"
-            )
-        return slice(self._degree_start[n] * self.r, self._degree_start[n + 1] * self.r)
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """Degree of each flat index."""
-        return np.repeat([b.degree for b in self.betas], self.r)
-
-    def norm_factor(self, beta, target) -> float:
-        """sqrt(a_beta / a_target): the matrix element of raising beta to
-        target in the orthonormal basis."""
-        k = self.kernel
-        b, t = as_multi_index(beta), as_multi_index(target)
-        return float(np.sqrt(k.a_of(b) / k.a_of(t)))
-
-    def random_hermitian(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        g = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
-            (self.dim, self.dim)
-        )
-        return scale * 0.5 * (g + g.conj().T)
-
-
-def mz_matrix(space: PolySpace, alpha) -> np.ndarray:
-    """Matrix of M_z^alpha (x) I: eps_beta (x) e_j maps to
-    sqrt(a_beta / a_{alpha+beta}) eps_{alpha+beta} (x) e_j, compressed to the
-    truncation (images beyond max_degree are dropped)."""
-    a = as_multi_index(alpha)
-    if a.degree > space.max_degree:
-        raise HorizonExceeded(
-            f"|alpha| = {a.degree} beyond space truncation {space.max_degree}"
-        )
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for beta in space.betas:
-        if beta.degree + a.degree > space.max_degree:
-            continue
-        target = beta + a
-        f = space.norm_factor(beta, target)
-        for j in range(space.r):
-            m[space.flat(target, j), space.flat(beta, j)] = f
-    return m
-
-
-def _raise_conjugate(space: PolySpace, x: np.ndarray, alpha: MultiIndex) -> np.ndarray:
-    """(M^alpha (x) I) X (M^alpha (x) I)* without materializing M^alpha."""
-    src, tgt, fac = [], [], []
-    for beta in space.betas:
-        if beta.degree + alpha.degree > space.max_degree:
-            continue
-        target = beta + alpha
-        f = space.norm_factor(beta, target)
-        for j in range(space.r):
-            src.append(space.flat(beta, j))
-            tgt.append(space.flat(target, j))
-            fac.append(f)
-    out = np.zeros_like(x)
-    if not src:
-        return out
-    src_a, tgt_a = np.array(src), np.array(tgt)
-    fac_a = np.array(fac)
-    out[np.ix_(tgt_a, tgt_a)] = (fac_a[:, None] * fac_a[None, :]) * x[
-        np.ix_(src_a, src_a)
-    ]
-    return out
-
-
-def phi_apply(space: PolySpace, x: np.ndarray, max_alpha_degree: int | None = None) -> np.ndarray:
-    """Truncated completely positive map sum_alpha b_alpha (M^alpha (x) I) X
-    (M^alpha (x) I)*.
-
-    Per-degree traces against the homogeneous projections are exact for every
-    degree <= max_degree, since only alpha with |alpha| <= degree contribute
-    there and top-compression affects higher degrees alone.
-    """
-    k = space.kernel
-    top = space.max_degree if max_alpha_degree is None else min(max_alpha_degree, space.max_degree)
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for n in range(1, top + 1):
-        if k.b[n] == 0.0:
-            continue
-        for alpha in enumerate_degree(k.d, n):
-            out += k.b_of(alpha) * _raise_conjugate(space, np.asarray(x, dtype=complex), alpha)
-    return out
-
-
-def _real_trace(value: complex, hermitian_scale: float, tol: Tolerances) -> float:
-    if abs(value.imag) > tol.eps_id * max(1.0, hermitian_scale):
-        raise ValueError(
-            f"trace has imaginary residual {value.imag:.3e}; operator not Hermitian?"
-        )
-    return float(value.real)
-
-
-def trace_E(space: PolySpace, x: np.ndarray, n: int, tol: Tolerances = DEFAULT) -> float:
-    """trace(X E_n): partial trace over the homogeneous degree-n block."""
-    sl = space.degree_slice(n)
-    val = complex(np.trace(x[sl, sl]))
-    return _real_trace(val, float(np.abs(np.diagonal(x)).max(initial=0.0)), tol)
-
-
-def trace_P(space: PolySpace, x: np.ndarray, n: int, tol: Tolerances = DEFAULT) -> float:
-    """trace(X P_n) = sum_{i<=n} trace(X E_i)."""
-    return sum(trace_E(space, x, i, tol) for i in range(n + 1))
-
-
-def _monomial_diagonal(space: PolySpace, x: np.ndarray) -> dict[tuple[int, ...], float]:
-    """sum_j X[(beta, j), (beta, j)] for each monomial beta."""
-    diag = np.real(np.diagonal(x))
-    out: dict[tuple[int, ...], float] = {}
-    for i, beta in enumerate(space.betas):
-        out[beta.entries] = float(diag[i * space.r : (i + 1) * space.r].sum())
-    return out
-
-
-def trace_phi_E(space: PolySpace, x: np.ndarray, n: int) -> float:
-    """trace(Phi(X) E_n) summed directly from the definition:
-
-        sum_{1<=|alpha|<=n} b_alpha sum_{|beta|=n-|alpha|} (a_beta / a_{alpha+beta})
-            sum_j <X eps_beta e_j, eps_beta e_j>,
-
-    using that (M^alpha)* E_n M^alpha is diagonal in the monomial basis.
-    No weight-row or combinatorial reduction enters here, so this is an
-    independent route against the weighted form.
-    """
-    if n > space.max_degree:
-        raise HorizonExceeded(f"degree {n} beyond space truncation {space.max_degree}")
-    if n == 0:
-        return 0.0
-    k = space.kernel
-    diag = _monomial_diagonal(space, x)
-    total = 0.0
-    for m in range(1, n + 1):
-        if k.b[m] == 0.0:
-            continue
-        for alpha in enumerate_degree(k.d, m):
-            b_alpha = k.b_of(alpha)
-            for beta in enumerate_degree(k.d, n - m):
-                ratio = k.a_of(beta) / k.a_of(alpha + beta)
-                total += b_alpha * ratio * diag[beta.entries]
-    return total
-
-
-def dpsi_trace_partial(
-    space: PolySpace, x: np.ndarray, n: int, tol: Tolerances = DEFAULT
-) -> float:
-    """trace(dPsi(X) Ptilde_n) = sum_{i<=n} a_i / q_{d-1}(i)
-    trace((X - Phi(X)) E_i), evaluated without materializing the inclusion
-    into the Hardy space."""
-    if n > space.max_degree:
-        raise HorizonExceeded(f"degree {n} beyond space truncation {space.max_degree}")
-    k = space.kernel
-    total = 0.0
-    for i in range(n + 1):
-        diff = trace_E(space, x, i, tol) - trace_phi_E(space, x, i)
-        total += float(k.a[i]) / q(k.d - 1, i) * diff
-    return total
-
-
-def weighted_degree_trace(space: PolySpace, x: np.ndarray, n: int, tol: Tolerances = DEFAULT) -> float:
-    """The weight-row form sum_{i<=n} w_{i,n} trace(X E_i) / q_{d-1}(i).
-
-    Cross-check partner of dpsi_trace_partial: the two agree exactly by the
-    multinomial-ratio identity, but share no code path beyond the raw
-    per-degree traces.
-    """
-    k = space.kernel
-    row = weights(k, n).w
-    return sum(
-        row[i] * trace_E(space, x, i, tol) / q(k.d - 1, i) for i in range(n + 1)
-    )
-
-
-# -- multiplier matrices ---------------------------------------------------
-
-
-def _series_degree(coeffs: dict[tuple[int, ...], np.ndarray]) -> int:
-    degs = [sum(key) for key, a in coeffs.items() if np.any(a)]
-    return max(degs) if degs else 0
 
 
 def multiplier_matrix(
@@ -287,127 +76,3 @@ def multiplier_matrix(
             cols = [src.flat(beta, j) for j in range(r_src)]
             m[np.ix_(rows, cols)] += f * a
     return m
-
-
-def multiplier_gram(
-    kernel: KernelSpec,
-    coeffs: dict[tuple[int, ...], np.ndarray],
-    max_degree: int,
-) -> tuple[PolySpace, np.ndarray]:
-    """The operator M_phi M_phi* on the truncated target space.
-
-    Exact on every degree block <= max_degree: a source monomial of degree
-    beyond max_degree cannot reach a retained target degree.
-    """
-    first = next(iter(coeffs.values()))
-    r_tgt = first.shape[0]
-    m = multiplier_matrix(kernel, coeffs, max_degree, max_degree)
-    tgt = PolySpace(kernel, r_tgt, max_degree)
-    return tgt, m @ m.conj().T
-
-
-@dataclass(frozen=True)
-class SeriesIdentityCheck:
-    lhs: float
-    rhs: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def series_identity_check(
-    kernel: KernelSpec,
-    coeffs: dict[tuple[int, ...], np.ndarray],
-    n: int,
-    tol: Tolerances = DEFAULT,
-) -> SeriesIdentityCheck:
-    """Two routes to trace(M_phi M_phi* E_n) / q_{d-1}(n).
-
-    lhs: explicit multiplication matrix, Frobenius norm of its degree-n rows.
-    rhs: the coefficient double sum
-         sum_{i<=n} sum_{|alpha|=i} (a_{n-i}/a_n) (1/q_{d-1}(i))
-                    trace(A_alpha A_alpha*) / binom(i, alpha).
-    """
-    if n > kernel.N:
-        raise HorizonExceeded(f"degree {n} beyond kernel horizon {kernel.N}")
-    first = next(iter(coeffs.values()))
-    r_tgt = first.shape[0]
-    m = multiplier_matrix(kernel, coeffs, n, n)
-    tgt = PolySpace(kernel, r_tgt, n)
-    rows = tgt.degree_slice(n)
-    lhs = float(np.sum(np.abs(m[rows, :]) ** 2)) / q(kernel.d - 1, n)
-
-    rhs = 0.0
-    for i in range(n + 1):
-        ratio = float(kernel.a[n - i] / kernel.a[n]) / q(kernel.d - 1, i)
-        for alpha in enumerate_degree(kernel.d, i):
-            key = alpha.entries
-            a = coeffs.get(key)
-            if a is None or not np.any(a):
-                continue
-            rhs += ratio * float(np.sum(np.abs(a) ** 2)) / multinomial(alpha)
-    return SeriesIdentityCheck(lhs=lhs, rhs=rhs)
-
-
-def factx_check(
-    kernel: KernelSpec,
-    coeffs: dict[tuple[int, ...], np.ndarray],
-    max_degree: int,
-    n_terms: int,
-) -> float:
-    """Residual of the strong-convergence reconstruction
-
-        sum_{|alpha| <= n_terms} a_alpha (M^alpha (x) I) (X - Phi(X)) (M^alpha (x) I)*
-            -> X = M_phi M_phi*
-
-    measured in operator norm on the degree block
-    <= max_degree - n_terms - deg(phi), where truncation cannot leak."""
-    tgt, x = multiplier_gram(kernel, coeffs, max_degree)
-    resid = x - phi_apply(tgt, x)
-    acc = np.zeros_like(x)
-    for n in range(0, n_terms + 1):
-        for alpha in enumerate_degree(kernel.d, n):
-            acc += kernel.a_of(alpha) * _raise_conjugate(tgt, resid, alpha)
-    window = max_degree - n_terms - _series_degree(coeffs)
-    if window < 0:
-        raise HorizonExceeded(
-            "truncation too small: no exact low-degree block remains"
-        )
-    keep = tgt.degrees <= window
-    diff = (acc - x)[np.ix_(keep, keep)]
-    return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
-
-
-# -- reporting -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedTraceRow:
-    n: int
-    t_e: float
-    t_e_normalized: float
-    t_p_normalized: float
-    dpsi_partial: float
-
-
-def trace_table(
-    space: PolySpace, x: np.ndarray, n_max: int, tol: Tolerances = DEFAULT
-) -> list[GradedTraceRow]:
-    """Per-degree trace summary rows for a Hermitian operator."""
-    k = space.kernel
-    rows = []
-    running_p = 0.0
-    for n in range(n_max + 1):
-        te = trace_E(space, x, n, tol)
-        running_p += te
-        rows.append(
-            GradedTraceRow(
-                n=n,
-                t_e=te,
-                t_e_normalized=te / q(k.d - 1, n),
-                t_p_normalized=running_p / q(k.d, n),
-                dpsi_partial=dpsi_trace_partial(space, x, n, tol),
-            )
-        )
-    return rows

@@ -240,7 +240,7 @@ def _tail_certificate(t: OperatorTuple, k: KernelSpec, n_op: int) -> float:
     if rho == 1.0 or residual_mass == 0.0:
         return known + residual_mass
     raise TailUnbounded(
-        f"no convergence certificate: sum of squared norms rho = {rho:.4f} >= 1 "
+        f"no convergence certificate: sum of squared norms rho = {rho:.4g} >= 1 "
         f"with unresolved b-mass {residual_mass:.3e} beyond the kernel horizon"
     )
 
@@ -254,8 +254,9 @@ def defect_package(
     """Build S_N, Delta, Ttilde, Dtilde and the range bases at horizon n_op.
 
     Raises NotContraction when the truncated series has an eigenvalue above
-    1 + eps_id, and TailUnbounded when the tuple is not nilpotent and no
-    tail certificate exists.
+    1 + eps_id (checked first on its degree-one terms, before any power of
+    T is built, so huge norms cannot overflow), and TailUnbounded when the
+    tuple is not nilpotent and no tail certificate exists.
     """
     nd = nilpotency_degree(t)
     if n_op is None:
@@ -270,6 +271,14 @@ def defect_package(
         raise HorizonExceeded(f"n_op = {n_op} beyond kernel horizon N = {k.N}")
 
     tail = 0.0 if nd is not None and n_op >= nd - 1 else _tail_certificate(t, k, n_op)
+
+    # S_N >= b_1 T_i T_i* term by term: reject before any power is built
+    first = float(k.b[1]) * max(t.norms()) ** 2
+    if first > 1.0 + tol.eps_id:
+        raise NotContraction(
+            "the defect series has an eigenvalue of at least "
+            f"b_1 max ||T_i||^2 = {first:.6g} > 1"
+        )
 
     dim = t.dim_h
     powers = monomial_powers(t, n_op)
@@ -294,7 +303,7 @@ def defect_package(
     lam_max = float(np.linalg.eigvalsh(0.5 * (s_n + s_n.conj().T))[-1]) if dim else 0.0
     if lam_max > 1.0 + tol.eps_id:
         raise NotContraction(
-            f"largest eigenvalue of the defect series is {lam_max:.6f} > 1"
+            f"largest eigenvalue of the defect series is {lam_max:.6g} > 1"
         )
 
     delta, dvals, dvecs = _psqrt(np.eye(dim) - s_n, clamp_top=1.0)

@@ -23,22 +23,24 @@ import pytest
 import cnpcurv as cc
 from cnpcurv.comb import enumerate_up_to_degree, q, verify_id2
 from cnpcurv.curvature import (
+    DegreeProfile,
     curvature_integral,
     curvature_pure,
     curvature_weighted,
-    trace_dpsi_series,
 )
 from cnpcurv.errors import CNPViolation, CommutatorError, NotContraction
+from cnpcurv.fibredim import fd_report
 from cnpcurv.kernel import bn_from_an, preset, weights
 from cnpcurv.pipeline import RunSettings, run_curvature
-from cnpcurv.traces import (
+from conftest import jordan_block, random_nilpotent_tuple, random_unitary
+from oracles import (
+    PolySpace,
     dpsi_trace_partial,
     multiplier_gram,
     trace_E,
     trace_P,
     weighted_degree_trace,
 )
-from conftest import jordan_block, random_nilpotent_tuple, random_unitary
 
 # machine-noise floor for Monte-Carlo comparisons: the integrands here are
 # constant over the sphere by unitary invariance, so the sample spread (and
@@ -148,8 +150,6 @@ class TestCriterion4:
     def test_proposition_pn_cross_check(self):
         rng = np.random.default_rng(5511)
         worst = 0.0
-        from cnpcurv.traces import PolySpace
-
         cases = 0
         while cases < 100:
             name, d = PRESETS_D[cases % len(PRESETS_D)]
@@ -186,15 +186,16 @@ class TestCriterion5:
             }
             single = nonzero == {(kdim,)}
             modulus = abs(series.coeffs[(kdim,)][0, 0])
-            dpsi = trace_dpsi_series(series, kern)
-            kw = curvature_weighted(pkg, kern, series, 12)
+            profile = DegreeProfile.build(series, kern, 12)
+            dpsi = profile.series_value
+            kw = curvature_weighted(profile, pkg.rank_delta)
             kw_ok = bool(np.all(np.abs(kw[kdim:]) <= 1e-10))
             est = curvature_integral(pkg, kern, radius=radius, n_samples=4000, seed=7)
             target = 1.0 - radius ** (2 * kdim)
             mc_ok = abs(est.estimate - target) <= 3 * est.stderr + MC_FLOOR
-            fd = cc.fd_by_evaluation(pkg, kern)
+            fd = fd_report(pkg, kern).fd_eval
             pur = cc.purity(t, kern, pkg)
-            kp = curvature_pure(pkg, kern, series, fd, pur.purity_residual)
+            kp = curvature_pure(pkg, series, profile, fd, pur.purity_residual)
 
             case_ok = (
                 single
@@ -223,11 +224,11 @@ class TestCriterion6:
         pkg = cc.defect_package(t, k, n_op=n_theta)
         series = cc.taylor(pkg, k, n_theta=n_theta)
 
-        dpsi = trace_dpsi_series(series, k)
+        dpsi = DegreeProfile.build(series, k).series_value
         partial = m * k.b_partial_sum(n_theta)
         series_ok = abs(dpsi - partial) <= 1e-12
 
-        fd = cc.fd_by_evaluation(pkg, k)
+        fd = fd_report(pkg, k).fd_eval
         fd_ok = fd == m
 
         mc_ok = True
@@ -397,16 +398,16 @@ class TestCriterion9:
         for t, k in bases:
             pkg = cc.defect_package(t, k)
             series = cc.taylor(pkg, k)
-            k_series = pkg.rank_delta - trace_dpsi_series(series, k)
-            fd = cc.fd_by_evaluation(pkg, k)
+            k_series = pkg.rank_delta - DegreeProfile.build(series, k).series_value
+            fd = fd_report(pkg, k).fd_eval
             for _ in range(10):
                 u = random_unitary(rng, t.dim_h)
                 t2 = cc.conjugate_by_unitary(t, u)
                 pkg2 = cc.defect_package(t2, k)
                 series2 = cc.taylor(pkg2, k)
-                k2 = pkg2.rank_delta - trace_dpsi_series(series2, k)
+                k2 = pkg2.rank_delta - DegreeProfile.build(series2, k).series_value
                 worst = max(worst, abs(k2 - k_series))
-                fd_ok &= cc.fd_by_evaluation(pkg2, k) == fd
+                fd_ok &= fd_report(pkg2, k).fd_eval == fd
                 trials += 1
         ok = worst <= 1e-10 and fd_ok and trials == 20
         report(9, "unitary-invariance", ok, f"max K drift {worst:.2e}, {trials} trials")

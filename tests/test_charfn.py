@@ -45,6 +45,9 @@ class TestEvalTheta:
         pkg = cc.defect_package(t, k, n_op=1)
         with pytest.raises(OutsideBall):
             cc.eval_theta(pkg, k, [1.0])
+        with pytest.raises(OutsideBall) as exc:
+            cc.eval_theta(pkg, k, [1e150])
+        assert "1e+150" in str(exc.value) and len(str(exc.value)) < 200
 
     def test_near_singular(self):
         t = cc.load_tuple([np.diag([1.0, 0.0])])

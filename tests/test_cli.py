@@ -144,6 +144,27 @@ class TestCurvatureCommand:
         assert "NotContraction" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "ops, extra, name",
+        [
+            ([1e150 * jordan_block(3)], [], "NotContraction"),
+            ([np.diag([1e150, 0.0])], ["--horizon", "3"], "TailUnbounded"),
+        ],
+    )
+    def test_huge_norm_typed_rejection(self, tmp_path, ops, extra, name):
+        # one short error line, no numpy overflow warning before it
+        f = write_tuple(tmp_path / "huge.json", ops)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnpcurv.cli", "curvature", "--input", f,
+             "--kernel", "dirichlet", *extra],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_CODES[name]
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"error: {name}: ") and len(lines[0]) < 200
+
+    @pytest.mark.parametrize(
         "entry, message",
         [(float("nan"), "must be finite"), (1e308, "out of range")],
     )

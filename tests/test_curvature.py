@@ -5,12 +5,11 @@ import pytest
 import cnpcurv as cc
 from cnpcurv.charfn import CharacteristicSeries
 from cnpcurv.curvature import (
+    DegreeProfile,
     curvature_integral,
     curvature_pure,
     curvature_weighted,
-    exact_sphere_average,
     theta_trace_E_normalized,
-    trace_dpsi_series,
 )
 from cnpcurv.errors import NotPure, ReconcileFailure
 from cnpcurv.pipeline import RunSettings, run_curvature
@@ -44,7 +43,7 @@ class TestDpsiSeries:
         t = cc.load_tuple([np.zeros((m, m))])
         k = cc.preset("dirichlet", d=1, N=40)
         pkg, series = build(t, k, n_op=30, n_theta=30)
-        assert trace_dpsi_series(series, k) == pytest.approx(
+        assert DegreeProfile.build(series, k).series_value == pytest.approx(
             m * k.b_partial_sum(30), abs=1e-12
         )
 
@@ -52,12 +51,12 @@ class TestDpsiSeries:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg, series = build(t, k)
-        assert trace_dpsi_series(series, k) == pytest.approx(1.0, abs=1e-12)
+        assert DegreeProfile.build(series, k).series_value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_series(self):
         k = cc.preset("szego", d=1, N=5)
         series = synthetic_series(1, {(0,): np.zeros((1, 1))}, 1, 1, k)
-        assert trace_dpsi_series(series, k) == 0.0
+        assert DegreeProfile.build(series, k).series_value == 0.0
 
 
 class TestWeightedRoute:
@@ -65,7 +64,7 @@ class TestWeightedRoute:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=14)
         pkg, series = build(t, k)
-        kw = curvature_weighted(pkg, k, series, 12)
+        kw = curvature_weighted(DegreeProfile.build(series, k, 12), pkg.rank_delta)
         assert np.allclose(kw[3:], 0.0, atol=1e-12)
         assert np.allclose(kw[:3], 1.0, atol=1e-12)
 
@@ -73,7 +72,7 @@ class TestWeightedRoute:
         t = cc.load_tuple([np.zeros((1, 1))])
         k = cc.preset("drury-arveson", d=1, N=10)
         pkg, series = build(t, k, n_op=1, n_theta=1)
-        kw = curvature_weighted(pkg, k, series, 8)
+        kw = curvature_weighted(DegreeProfile.build(series, k, 8), pkg.rank_delta)
         assert np.allclose(kw[1:], 0.0, atol=1e-12)
 
     def test_vanishing_symbol_keeps_dim(self):
@@ -81,7 +80,7 @@ class TestWeightedRoute:
         k = cc.preset("szego", d=1, N=8)
         pkg, _ = build(t, k)
         series = synthetic_series(1, {(0,): np.zeros((1, 1))}, 1, 1, k)
-        kw = curvature_weighted(pkg, k, series, 6)
+        kw = curvature_weighted(DegreeProfile.build(series, k, 6), pkg.rank_delta)
         assert np.allclose(kw, pkg.rank_delta)
 
     def test_polynomial_fast_formula_constant_coefficients(self):
@@ -89,7 +88,7 @@ class TestWeightedRoute:
         t = cc.load_tuple([jordan_block(4)])
         k = cc.preset("szego", d=1, N=14)
         pkg, series = build(t, k)
-        value = trace_dpsi_series(series, k)
+        value = DegreeProfile.build(series, k).series_value
         for n in range(series.degree + 2, 13):
             assert theta_trace_E_normalized(series, k, n) == pytest.approx(
                 value, abs=1e-10
@@ -101,7 +100,7 @@ class TestWeightedRoute:
         k = cc.preset("dirichlet", d=1, N=30)
         coeffs = {(2,): np.array([[0.5]], dtype=complex)}
         series = synthetic_series(1, coeffs, 1, 1, k)
-        value = trace_dpsi_series(series, k)
+        value = DegreeProfile.build(series, k).series_value
         for n in range(4, 28):
             te = theta_trace_E_normalized(series, k, n)
             inflation = float(k.a[n - 2] / k.a[n])
@@ -132,7 +131,7 @@ class TestIntegralRoute:
         r = 0.7
         est = curvature_integral(pkg, k, radius=r, n_samples=200, seed=9)
         assert pkg.rank_delta - est.estimate == pytest.approx(
-            exact_sphere_average(series, k, r), abs=1e-12
+            DegreeProfile.build(series, k).sphere_average(r), abs=1e-12
         )
 
     def test_sphere_average_is_constant_for_unitary_invariance(self):
@@ -165,28 +164,32 @@ class TestPureRoute:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg, series = build(t, k)
-        assert curvature_pure(pkg, k, series, fd_estimate=1, purity_residual=0.0) == 0
+        profile = DegreeProfile.build(series, k)
+        assert curvature_pure(pkg, series, profile, fd_estimate=1, purity_residual=0.0) == 0
 
     def test_zero_tuple(self):
         m = 2
         t = cc.load_tuple([np.zeros((m, m))])
         k = cc.preset("drury-arveson", d=1, N=8)
         pkg, series = build(t, k, n_op=1, n_theta=1)
-        assert curvature_pure(pkg, k, series, fd_estimate=m, purity_residual=0.0) == 0
+        profile = DegreeProfile.build(series, k)
+        assert curvature_pure(pkg, series, profile, fd_estimate=m, purity_residual=0.0) == 0
 
     def test_vanishing_symbol_extreme_case(self):
         k = cc.preset("drury-arveson", d=1, N=8)
         t = cc.load_tuple([np.zeros((1, 1))])
         pkg, _ = build(t, k, n_op=1, n_theta=1)
         series = synthetic_series(1, {(0,): np.zeros((1, 1))}, 1, 0, k)
-        assert curvature_pure(pkg, k, series, fd_estimate=0, purity_residual=0.0) == 1
+        profile = DegreeProfile.build(series, k)
+        assert curvature_pure(pkg, series, profile, fd_estimate=0, purity_residual=0.0) == 1
 
     def test_not_pure(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg, series = build(t, k)
+        profile = DegreeProfile.build(series, k)
         with pytest.raises(NotPure):
-            curvature_pure(pkg, k, series, fd_estimate=1, purity_residual=1.0)
+            curvature_pure(pkg, series, profile, fd_estimate=1, purity_residual=1.0)
 
 
 class TestPipelineAndReconcile:
@@ -254,10 +257,32 @@ class TestPipelineAndReconcile:
             n_theta=3,
             n_op=2,
             tail_bound=0.0,
-            convergence=ordering_rows(series, k1, 3),
+            convergence=ordering_rows(DegreeProfile.build(series, k1, 3)),
         )
         with pytest.raises(ReconcileFailure):
             reconcile(report, series, pkg, k2)
+
+    def test_profile_built_once(self, monkeypatch):
+        # every scalar route reads one profile; the per-degree view
+        # theta_trace_E_normalized is for callers outside the pipeline
+        import cnpcurv.curvature as curv
+
+        builds = []
+        build = DegreeProfile.build
+
+        def counting(series, k, n_max=0):
+            builds.append(n_max)
+            return build(series, k, n_max)
+
+        def unused(*args):
+            raise AssertionError("theta_trace_E_normalized called")
+
+        monkeypatch.setattr(DegreeProfile, "build", counting)
+        monkeypatch.setattr(curv, "theta_trace_E_normalized", unused)
+        t = cc.load_tuple([jordan_block(3)])
+        k = cc.preset("szego", d=1, N=16)
+        run_curvature(t, k, RunSettings(n_samples=100, n_max=12))
+        assert builds == [12]
 
     def test_estimator_ranges_on_random_tuples(self, rng):
         for _ in range(4):
@@ -273,11 +298,11 @@ class TestPipelineAndReconcile:
         t = random_nilpotent_tuple(rng)
         k = cc.preset("drury-arveson", d=t.d, N=14)
         pkg, series = build(t, k)
-        base = pkg.rank_delta - trace_dpsi_series(series, k)
+        base = pkg.rank_delta - DegreeProfile.build(series, k).series_value
         for _ in range(3):
             t2 = cc.conjugate_by_unitary(t, random_unitary(rng, t.dim_h))
             pkg2, series2 = build(t2, k)
-            val = pkg2.rank_delta - trace_dpsi_series(series2, k)
+            val = pkg2.rank_delta - DegreeProfile.build(series2, k).series_value
             assert val == pytest.approx(base, abs=1e-10)
 
     def test_parrott_d1(self, rng):
@@ -301,7 +326,7 @@ class TestDegenerateCodomain:
         assert pkg.rank_delta == 0
         est = curvature_integral(pkg, k, radius=0.5, n_samples=50, seed=1)
         assert est.estimate == 0.0 and est.stderr == 0.0
-        assert trace_dpsi_series(series, k) == 0.0
+        assert DegreeProfile.build(series, k).series_value == 0.0
 
     def test_sample_count_validated(self):
         t = cc.load_tuple([jordan_block(2)])
@@ -315,7 +340,7 @@ class TestExplicitMatrixCrossCheck:
     def test_series_identity_on_characteristic_functions(self, rng):
         # the explicit multiplication-matrix route stays as a cross-check of
         # the coefficient formula, on real characteristic functions
-        from cnpcurv.traces import series_identity_check
+        from oracles import series_identity_check
 
         cases = [
             (cc.load_tuple([jordan_block(3)]), cc.preset("szego", d=1, N=12)),

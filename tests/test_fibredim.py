@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import cnpcurv as cc
-from cnpcurv.curvature import ordering_rows, trace_dpsi_series
+from cnpcurv.curvature import DegreeProfile, ordering_rows
 from cnpcurv.errors import NotPure
 from cnpcurv.fibredim import fd_by_grading, fd_report, innermult_consistency
 from cnpcurv.pipeline import RunSettings, run_curvature
@@ -22,14 +22,14 @@ class TestEvaluationRank:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg, _ = build(t, k)
-        assert cc.fd_by_evaluation(pkg, k) == 1
+        assert fd_report(pkg, k).fd_eval == 1
 
     def test_zero_tuple_full_rank(self):
         for m in (1, 2, 3):
             t = cc.load_tuple([np.zeros((m, m))])
             k = cc.preset("drury-arveson", d=1, N=8)
             pkg, _ = build(t, k, n_op=1, n_theta=1)
-            assert cc.fd_by_evaluation(pkg, k) == m
+            assert fd_report(pkg, k).fd_eval == m
 
     def test_report_labels_and_attainment(self):
         t = cc.load_tuple([jordan_block(3)])
@@ -53,18 +53,18 @@ class TestEvaluationRank:
             t = random_nilpotent_tuple(rng)
             k = cc.preset("drury-arveson", d=t.d, N=12)
             pkg, _ = build(t, k)
-            fd = cc.fd_by_evaluation(pkg, k)
+            fd = fd_report(pkg, k).fd_eval
             assert fd <= min(pkg.rank_delta, pkg.rank_d)
 
     def test_invariant_under_conjugation(self, rng):
         t = random_nilpotent_tuple(rng)
         k = cc.preset("drury-arveson", d=t.d, N=12)
         pkg, _ = build(t, k)
-        base = cc.fd_by_evaluation(pkg, k)
+        base = fd_report(pkg, k).fd_eval
         for _ in range(3):
             t2 = cc.conjugate_by_unitary(t, random_unitary(rng, t.dim_h))
             pkg2, _ = build(t2, k)
-            assert cc.fd_by_evaluation(pkg2, k) == base
+            assert fd_report(pkg2, k).fd_eval == base
 
 
 class TestGradedRoute:
@@ -98,10 +98,11 @@ class TestInnermult:
         k = cc.preset("szego", d=1, N=16)
         pkg, series = build(t, k)
         rep = fd_report(pkg, k, purity_residual=0.0)
-        rows = ordering_rows(series, k, 12)
+        profile = DegreeProfile.build(series, k, 12)
+        rows = ordering_rows(profile)
         verdict = innermult_consistency(
             rep,
-            trace_dpsi_series(series, k),
+            profile.series_value,
             [row["t_p_normalized"] for row in rows],
             purity_residual=0.0,
         )

@@ -1,12 +1,12 @@
-"""Graded traces: raising matrices, the CP map, both dPsi routes, and the
-multiplier identities."""
+"""The dense oracles of tests/oracles.py: raising matrices, the CP map,
+both dPsi routes, and the multiplier identities."""
 import numpy as np
 import pytest
 
 import cnpcurv as cc
 from cnpcurv.comb import q
 from cnpcurv.errors import HorizonExceeded
-from cnpcurv.traces import (
+from oracles import (
     PolySpace,
     dpsi_trace_partial,
     factx_check,

@@ -1,4 +1,6 @@
 """Tuple validation, defect construction, purity, unitary conjugation."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,8 +123,28 @@ class TestDefectPackage:
     def test_tail_unbounded_before_powers_overflow(self):
         # rho = 1e300: the tail's rho^n would overflow a float for n >= 2
         k = cc.preset("dirichlet", d=1, N=10)
-        with pytest.raises(TailUnbounded):
+        with pytest.raises(TailUnbounded) as exc:
             cc.defect_package(cc.load_tuple([np.diag([1e150, 0.0])]), k, n_op=3)
+        assert len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize(
+        "ops, kernel, n_op",
+        [
+            ([1e150 * jordan_block(3)], "dirichlet", None),
+            ([np.diag([1e150, 0.0])], "drury-arveson", 3),
+            ([1e150 * jordan_block(2), np.zeros((2, 2))], "drury-arveson", None),
+        ],
+    )
+    def test_not_contraction_before_powers_overflow(self, ops, kernel, n_op):
+        # b_1 ||T||^2 = 1e300 (times b_1) already exceeds 1: rejected before
+        # T^2 ~ 1e300 or S_N overflow, without a numpy warning
+        k = cc.preset(kernel, d=len(ops), N=10)
+        t = cc.load_tuple(ops)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotContraction) as exc:
+                cc.defect_package(t, k, n_op=n_op)
+        assert len(str(exc.value)) < 200
 
     def test_nonnilpotent_requires_horizon(self):
         k = cc.preset("szego", d=1, N=10)
