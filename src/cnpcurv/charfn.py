@@ -85,6 +85,9 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
     exceeds the gate at any point.
     """
     points = np.asarray(points, dtype=complex)
+    coords = np.abs(points).max(axis=1, initial=0.0)  # gate before squaring: no overflow
+    if np.any(coords >= 1.0):
+        raise OutsideBall(f"|z_i| = {coords[np.argmax(coords >= 1.0)]:.6g} is not < 1")
     norms = np.linalg.norm(points, axis=1)
     if np.any(norms >= 1.0):
         raise OutsideBall(f"||z|| = {norms[np.argmax(norms >= 1.0)]:.6g} is not < 1")

@@ -122,9 +122,6 @@ def curvature_weighted(profile: DegreeProfile, rank_delta: int) -> np.ndarray:
 def ordering_rows(profile: DegreeProfile) -> list[dict]:
     """Finite-n monitoring table: normalized E-trace, normalized P-trace and
     the dPsi partial sum per degree n = 0..n_max."""
-    # dpsi_partial stays a numpy scalar: the ordering checks compare against
-    # it, and the JSON report prints their numpy bools as "True"; changing
-    # the type would change every report
     return [
         {"n": n, "t_e_normalized": float(te), "t_p_normalized": float(tp), "dpsi_partial": dp}
         for n, (te, tp, dp) in enumerate(zip(profile.t_e, profile.t_p, profile.dpsi_partial))

@@ -115,6 +115,8 @@ def to_jsonable(obj):
         return str(obj)
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "PurityReport",
     "load_tuple",
     "nilpotency_degree",
-    "monomial_powers",
     "defect_package",
     "purity",
     "conjugate_by_unitary",
@@ -98,6 +98,11 @@ class OperatorTuple:
     def norms(self) -> list[float]:
         return [op_norm(t) for t in self.ops]
 
+    @cached_property
+    def nilpotent_degree(self) -> int | None:
+        """nilpotency_degree(self), computed on first use and kept."""
+        return nilpotency_degree(self)
+
 
 # Largest operator norm whose square is a finite float.
 _NORM_LIMIT = math.sqrt(sys.float_info.max)
@@ -142,38 +147,35 @@ def load_tuple(matrices, eps_comm: float | None = None, tol: Tolerances = DEFAUL
     return OperatorTuple(ops=tuple(ops), commutator_residual=residual)
 
 
-def monomial_powers(t: OperatorTuple, max_degree: int) -> dict[tuple[int, ...], np.ndarray]:
-    """All monomials T^alpha for |alpha| <= max_degree, built degree by degree."""
-    dim = t.dim_h
-    powers: dict[tuple[int, ...], np.ndarray] = {
-        (0,) * t.d: np.eye(dim, dtype=complex)
-    }
+def _degree_powers(ops, max_degree: int):
+    """Yield [(alpha, T^alpha) for |alpha| = n] for n = 1..max_degree.
+
+    Degree n is built from degree n - 1 alone, T^alpha = T_i T^(alpha - e_i)
+    with i the first nonzero index of alpha, so at most two degrees of
+    powers are alive at once.
+    """
+    prev = {(0,) * len(ops): np.eye(ops[0].shape[0], dtype=complex)}
     for n in range(1, max_degree + 1):
-        for alpha in enumerate_degree(t.d, n):
+        level = []
+        for alpha in enumerate_degree(len(ops), n):
             a = alpha.entries
             i = next(k for k, e in enumerate(a) if e > 0)
-            prev = a[:i] + (a[i] - 1,) + a[i + 1 :]
-            powers[a] = t.ops[i] @ powers[prev]
-    return powers
+            level.append((alpha, ops[i] @ prev[a[:i] + (a[i] - 1,) + a[i + 1 :]]))
+        yield level
+        prev = {alpha.entries: ta for alpha, ta in level}
 
 
-def nilpotency_degree(t: OperatorTuple, threshold: float | None = None) -> int | None:
+def nilpotency_degree(t: OperatorTuple) -> int | None:
     """Smallest m <= dimH with T^alpha = 0 for all |alpha| = m, if any.
 
     When it exists every graded series over alpha terminates exactly at
     degree m - 1.  The powers are taken of T / c with c = max(1, ||T_i||),
-    so neither they nor the default relative threshold 1e-12 c^m overflow.
+    so neither they nor the relative threshold 1e-12 c^m overflow; the walk
+    stops at the first degree whose powers all vanish.
     """
     c = max(t.norms() + [1.0])
-    scaled = OperatorTuple(
-        ops=tuple(op / c for op in t.ops), commutator_residual=t.commutator_residual / c**2
-    )
-    powers = monomial_powers(scaled, t.dim_h)
-    for m in range(1, t.dim_h + 1):
-        thr = 1e-12 if threshold is None else threshold * c**-m
-        if all(
-            op_norm(powers[a.entries]) <= thr for a in enumerate_degree(t.d, m)
-        ):
+    for m, level in enumerate(_degree_powers([op / c for op in t.ops], t.dim_h), start=1):
+        if all(op_norm(ta) <= 1e-12 for _, ta in level):
             return m
     return None
 
@@ -215,7 +217,7 @@ class DefectPackage:
 
 def default_horizon(t: OperatorTuple) -> int | None:
     """Default truncation horizon: nilpotency degree - 1 (at least 1)."""
-    nd = nilpotency_degree(t)
+    nd = t.nilpotent_degree
     if nd is None:
         return None
     return max(1, nd - 1)
@@ -258,7 +260,7 @@ def defect_package(
     T is built, so huge norms cannot overflow), and TailUnbounded when the
     tuple is not nilpotent and no tail certificate exists.
     """
-    nd = nilpotency_degree(t)
+    nd = t.nilpotent_degree
     if n_op is None:
         n_op = default_horizon(t)
         if n_op is None:
@@ -281,21 +283,17 @@ def defect_package(
         )
 
     dim = t.dim_h
-    powers = monomial_powers(t, n_op)
-    index_set = [
-        alpha
-        for n in range(1, n_op + 1)
-        if k.b[n] > 0.0
-        for alpha in enumerate_degree(t.d, n)
-    ]
-
+    index_set = []
     s_n = np.zeros((dim, dim), dtype=complex)
     blocks = []
-    for alpha in index_set:
-        ta = powers[alpha.entries]
-        b_alpha = k.b_of(alpha)
-        s_n += b_alpha * (ta @ ta.conj().T)
-        blocks.append(np.sqrt(b_alpha) * ta)
+    for n, level in enumerate(_degree_powers(t.ops, n_op), start=1):
+        if k.b[n] <= 0.0:
+            continue
+        for alpha, ta in level:
+            b_alpha = k.b_of(alpha)
+            s_n += b_alpha * (ta @ ta.conj().T)
+            blocks.append(np.sqrt(b_alpha) * ta)
+            index_set.append(alpha)
     t_tilde = (
         np.hstack(blocks) if blocks else np.zeros((dim, 0), dtype=complex)
     )
@@ -355,6 +353,8 @@ def purity(
 ) -> PurityReport:
     """Evaluate the purity series partial sum at horizon n_op.
 
+    Degree n of the series is a_n sigma^n(Delta^2) with sigma(X) =
+    sum_i T_i X T_i*, because T commutes and a_alpha = a_n n!/alpha!.
     exact is True when the tuple is jointly nilpotent and the horizon covers
     every nonvanishing term, in which case the series has terminated.
     """
@@ -362,15 +362,12 @@ def purity(
         n_op = pkg.n_op
     if n_op > k.N:
         raise HorizonExceeded(f"n_op = {n_op} beyond kernel horizon N = {k.N}")
-    dim = t.dim_h
-    delta_sq = pkg.delta @ pkg.delta
-    powers = monomial_powers(t, n_op)
-    p = np.zeros((dim, dim), dtype=complex)
-    for n in range(0, n_op + 1):
-        for alpha in enumerate_degree(t.d, n):
-            ta = powers[alpha.entries]
-            p += k.a_of(alpha) * (ta @ delta_sq @ ta.conj().T)
-    residual = op_norm(np.eye(dim) - p)
+    x = pkg.delta @ pkg.delta
+    p = float(k.a[0]) * x
+    for n in range(1, n_op + 1):
+        x = sum(ti @ x @ ti.conj().T for ti in t.ops)
+        p += float(k.a[n]) * x
+    residual = op_norm(np.eye(t.dim_h) - p)
     nd = pkg.nilpotent_degree
     exact = nd is not None and n_op >= nd - 1
     return PurityReport(p_n=p, purity_residual=residual, exact=exact, n_op=n_op)

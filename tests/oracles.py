@@ -11,6 +11,11 @@ It shares no code with the batched evaluation in cnpcurv.charfn, so
 agreement between the two checks the monomial table, the block-adjoint and
 Dtilde V contractions and the stacked solve.
 
+purity_reference sums the purity series sum_alpha a_alpha T^alpha Delta^2
+(T^alpha)* one multi-index at a time over a table of every power T^alpha.
+cnpcurv.tuples.purity sums a_n sigma^n(Delta^2) degree by degree instead,
+which equals it only because T commutes and a_alpha = a_n n!/alpha!.
+
 The dense graded traces (mz_matrix, phi_apply, trace_E/P, trace_phi_E,
 dpsi_trace_partial, weighted_degree_trace, multiplier_gram,
 series_identity_check, factx_check, trace_table) compute the per-degree
@@ -65,6 +70,35 @@ def theta_reference(pkg, k, z) -> np.ndarray:
     b, z_row = resolvent_input(pkg, k, z)
     x = np.linalg.solve(np.eye(pkg.dim_h) - b, z_row @ pkg.d_tilde)
     return pkg.w.conj().T @ (-pkg.t_tilde + pkg.delta @ x) @ pkg.v
+
+
+def monomial_powers(t, max_degree: int) -> dict[tuple[int, ...], np.ndarray]:
+    """All monomials T^alpha for |alpha| <= max_degree, built degree by degree."""
+    dim = t.dim_h
+    powers: dict[tuple[int, ...], np.ndarray] = {
+        (0,) * t.d: np.eye(dim, dtype=complex)
+    }
+    for n in range(1, max_degree + 1):
+        for alpha in enumerate_degree(t.d, n):
+            a = alpha.entries
+            i = next(k for k, e in enumerate(a) if e > 0)
+            prev = a[:i] + (a[i] - 1,) + a[i + 1 :]
+            powers[a] = t.ops[i] @ powers[prev]
+    return powers
+
+
+def purity_reference(t, k, pkg, n_op: int) -> np.ndarray:
+    """The purity partial sum sum_{|alpha| <= n_op} a_alpha T^alpha Delta^2
+    (T^alpha)*, one multi-index at a time."""
+    dim = t.dim_h
+    delta_sq = pkg.delta @ pkg.delta
+    powers = monomial_powers(t, n_op)
+    p = np.zeros((dim, dim), dtype=complex)
+    for n in range(0, n_op + 1):
+        for alpha in enumerate_degree(t.d, n):
+            ta = powers[alpha.entries]
+            p += k.a_of(alpha) * (ta @ delta_sq @ ta.conj().T)
+    return p
 
 
 # -- dense graded traces ----------------------------------------------------

@@ -1,4 +1,6 @@
 """Characteristic function: evaluation, Taylor extraction, consistency."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ class TestEvalTheta:
         with pytest.raises(OutsideBall) as exc:
             cc.eval_theta(pkg, k, [1e150])
         assert "1e+150" in str(exc.value) and len(str(exc.value)) < 200
+
+    def test_outside_ball_huge_coordinate_does_not_overflow(self):
+        t = zero_tuple(1, 1)
+        k = cc.preset("drury-arveson", d=1, N=5)
+        pkg = cc.defect_package(t, k, n_op=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideBall, match=r"1e\+200"):
+                cc.eval_theta(pkg, k, [1e200])
 
     def test_near_singular(self):
         t = cc.load_tuple([np.diag([1.0, 0.0])])

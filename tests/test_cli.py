@@ -207,6 +207,20 @@ class TestCurvatureCommand:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["curvature", "--samples", "300"], ["traces"], ["fd"], ["theta", "--point", "0.5"]],
+)
+def test_nilpotency_found_once_per_request(argv, jordan3_file, monkeypatch, capsys):
+    import cnpcurv.tuples as tuples
+
+    calls = []
+    real = tuples.nilpotency_degree
+    monkeypatch.setattr(tuples, "nilpotency_degree", lambda t: calls.append(t) or real(t))
+    assert main([argv[0], "--input", jordan3_file, "--kernel", "szego", *argv[1:]]) == 0
+    assert len(calls) == 1
+
+
 class TestThetaCommand:
     def test_point_evaluation(self, jordan3_file, capsys):
         rc = main(

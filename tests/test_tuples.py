@@ -1,10 +1,12 @@
 """Tuple validation, defect construction, purity, unitary conjugation."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import cnpcurv as cc
+from cnpcurv.comb import q
 from cnpcurv.errors import (
     CommutatorError,
     NotContraction,
@@ -15,6 +17,20 @@ from cnpcurv.errors import (
 from cnpcurv.tuples import default_horizon, op_norm
 
 from conftest import jordan_block, random_nilpotent_tuple, random_unitary
+from oracles import purity_reference
+
+
+def random_commuting_tuple(rng, d: int, dim: int) -> cc.OperatorTuple:
+    """Polynomials of degree 2 in one random matrix: commuting, not
+    nilpotent, scaled to sum_i ||T_i||^2 = 0.7."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a /= op_norm(a)
+    ops = []
+    for _ in range(d):
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        ops.append(c[0] * np.eye(dim) + c[1] * a + c[2] * (a @ a))
+    rho = sum(op_norm(m) ** 2 for m in ops)
+    return cc.load_tuple([np.sqrt(0.7 / rho) * m for m in ops])
 
 
 class TestLoadTuple:
@@ -70,6 +86,21 @@ class TestNilpotency:
         t = cc.load_tuple([1e150 * jordan_block(3)])
         assert cc.nilpotency_degree(t) == 3
         assert cc.nilpotency_degree(cc.load_tuple([np.diag([1e150, 0.0])])) is None
+
+    def test_walk_holds_at_most_two_degrees(self):
+        # unimodular diagonal entries: no power vanishes, so the walk runs to
+        # degree dimH; the whole power table would be about 27 MB
+        d, dim = 3, 24
+        rng = np.random.default_rng(5)
+        t = cc.load_tuple([np.diag(np.exp(2j * np.pi * rng.random(dim))) for _ in range(d)])
+        two_degrees = (q(d - 1, dim) + q(d - 1, dim - 1)) * 16 * dim * dim
+        tracemalloc.start()
+        try:
+            assert cc.nilpotency_degree(t) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * two_degrees
 
     def test_default_horizon_clamps(self):
         assert default_horizon(cc.load_tuple([np.zeros((2, 2))])) == 1
@@ -194,6 +225,25 @@ class TestPurity:
         assert rep.purity_residual == pytest.approx(0.25**21, rel=1e-6)
         assert rep.purity_residual < 1e-12
         assert not rep.exact
+
+    @pytest.mark.parametrize("nilpotent", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sigma_recursion_matches_multi_index_sum(self, d, nilpotent):
+        rng = np.random.default_rng(100 * d + nilpotent)
+        names = ["drury-arveson", "dirichlet"] + (["szego"] if d == 1 else [])
+        structure = {1: ("jordan", 1, None), 2: ("shift", 2, 3), 3: ("shift", 3, 2)}[d]
+        for _ in range(3):
+            if nilpotent:
+                t = random_nilpotent_tuple(rng, structure)
+            else:
+                t = random_commuting_tuple(rng, d, int(rng.integers(2, 7)))
+            for name in names:
+                k = cc.preset(name, d=d, N=12)
+                pkg = cc.defect_package(t, k, n_op=None if nilpotent else 6)
+                for n_op in (pkg.n_op, pkg.n_op + 3):
+                    rep = cc.purity(t, k, pkg, n_op=n_op)
+                    ref = purity_reference(t, k, pkg, n_op)
+                    assert op_norm(rep.p_n - ref) <= 1e-13 * op_norm(ref)
 
 
 class TestConjugation:
