@@ -32,6 +32,7 @@ from .errors import (
     PresetDomainError,
     ReconcileFailure,
     ShapeError,
+    SizeLimitExceeded,
     TailUnbounded,
 )
 from .kernel import KernelSpec, bn_from_an, from_coefficients, preset, regularity, weights

@@ -31,6 +31,7 @@ EXIT_CODES = {
     "PresetDomainError": 14,
     "IntegerMismatch": 15,
     "CnpcurvError": 16,
+    "SizeLimitExceeded": 17,
 }
 
 

@@ -70,3 +70,8 @@ class IntegerMismatch(CnpcurvError):
 class ReconcileFailure(CnpcurvError):
     """Two curvature estimators disagree beyond their combined tolerance,
     or inputs from mismatched kernels were combined."""
+
+
+class SizeLimitExceeded(CnpcurvError):
+    """A dense intermediate would exceed the package's fixed size limit; the
+    request is refused before the allocation."""

@@ -2,8 +2,10 @@
 
 The ambient space is span{eps_beta (x) e_j : |beta| <= max_degree, j < r}
 where eps_beta = sqrt(a_beta) z^beta is the orthonormal monomial basis for
-the kernel's norms.  fd_by_grading takes ranks of the matrix of M_phi
-truncated to source and target degree n; the scalar routes never build it.
+the kernel's norms.  No library code builds this matrix:
+fibredim.fd_by_grading streams the triangular factor of M_phi* instead.
+It serves the tests as an oracle, and it stays in the library because
+perfbench/tracer.py names multiplier_matrix.
 """
 from __future__ import annotations
 

@@ -16,6 +16,12 @@ purity_reference sums the purity series sum_alpha a_alpha T^alpha Delta^2
 cnpcurv.tuples.purity sums a_n sigma^n(Delta^2) degree by degree instead,
 which equals it only because T commutes and a_alpha = a_n n!/alpha!.
 
+fd_by_grading_reference is the per-degree graded dimension: for each n it
+builds the multiplier truncated to degree n and takes the numerical rank of
+that whole matrix.  cnpcurv.fibredim.fd_by_grading reads every degree's
+rank off a leading block of one streamed triangular factor instead, which
+agrees only because a source monomial never lowers the degree.
+
 The dense graded traces (mz_matrix, phi_apply, trace_E/P, trace_phi_E,
 dpsi_trace_partial, weighted_degree_trace, multiplier_gram,
 series_identity_check, factx_check, trace_table) compute the per-degree
@@ -33,6 +39,7 @@ import numpy as np
 from cnpcurv.comb import MultiIndex, as_multi_index, enumerate_degree, multinomial, q
 from cnpcurv.config import DEFAULT, Tolerances
 from cnpcurv.errors import HorizonExceeded
+from cnpcurv.fibredim import _numerical_ranks
 from cnpcurv.kernel import KernelSpec, weights
 from cnpcurv.traces import PolySpace as _LibPolySpace
 from cnpcurv.traces import multiplier_matrix
@@ -99,6 +106,28 @@ def purity_reference(t, k, pkg, n_op: int) -> np.ndarray:
             ta = powers[alpha.entries]
             p += k.a_of(alpha) * (ta @ delta_sq @ ta.conj().T)
     return p
+
+
+def fd_by_grading_reference(
+    series,
+    k: KernelSpec,
+    n_max: int,
+    tol: Tolerances = DEFAULT,
+) -> np.ndarray:
+    """dim(P_n Ran M_theta) / q_d(n) for n = 0..n_max.
+
+    The column space of the multiplication matrix truncated to source and
+    target degree n is exactly P_n applied to the range: a source monomial
+    of degree above n contributes nothing below degree n+1."""
+    if n_max > k.N:
+        raise HorizonExceeded(f"n_max = {n_max} beyond kernel horizon {k.N}")
+    if not series.coeffs:
+        return np.zeros(n_max + 1)
+    out = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        m = multiplier_matrix(k, series.coeffs, n, n)
+        out[n] = _numerical_ranks(m[None], tol.eps_rank)[0] / q(k.d, n)
+    return out
 
 
 # -- dense graded traces ----------------------------------------------------

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cnpcurv.cli import EXIT_CODES, main
 from cnpcurv.formats import dumps_json17, load_tuple_json
 from cnpcurv.errors import ShapeError
 
-from conftest import jordan_block
+from conftest import jordan_block, truncated_shift_ops
 
 
 def write_tuple(path, ops):
@@ -279,6 +280,36 @@ class TestFdCommand:
         assert payload["fd_eval"] == 1
         assert payload["label"] == "fd (GRS proxy)"
         assert payload["graded_dims"][-1] == pytest.approx(6 / 9)
+
+    def test_grading_size_limit_exit_code(self, tmp_path, capsys):
+        # d = 3, dimH 10: grading to degree 12 needs a 4550 x 4550 factor
+        f = write_tuple(tmp_path / "s3.json", [0.4 * m for m in truncated_shift_ops(3, 3)])
+        start = time.perf_counter()
+        rc = main(["fd", "--input", f, "--kernel", "dirichlet", "--max-n", "12"])
+        assert time.perf_counter() - start < 10
+        assert rc == EXIT_CODES["SizeLimitExceeded"] == 17
+        assert "SizeLimitExceeded" in capsys.readouterr().err
+
+
+# a unitary has Delta = 0 and D = 0: rank_delta = rank_d = 0, Ran M_theta = 0
+ZERO_DEFECT = {
+    "one": [np.eye(1)],
+    "swap": [np.array([[0.0, 1.0], [1.0, 0.0]])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DEFECT))
+@pytest.mark.parametrize("command", ["fd", "curvature"])
+def test_zero_defect_tuple_reports(command, name, tmp_path, capsys):
+    f = write_tuple(tmp_path / f"{name}.json", ZERO_DEFECT[name])
+    rc = main([command, "--input", f, "--kernel", "szego", "--horizon", "1"])
+    assert rc == 0, capsys.readouterr().err
+    payload = json.loads(capsys.readouterr().out)
+    fd = payload if command == "fd" else payload["fd"]
+    assert fd["fd_eval"] == 0
+    assert fd["graded_dims"] and all(v == 0 for v in fd["graded_dims"])
+    if command == "curvature":
+        assert payload["report"]["fd_eval"] == 0
 
 
 class TestConsoleScript:
