@@ -5,11 +5,11 @@ Layers, bottom up:
 
 * comb      exact multi-index combinatorics (integers and fractions only)
 * kernel    coefficient tables a_n, b_n, weight rows, regularity trends
-* tuples    commuting tuples, contraction test, defect package
+* tuples    commuting tuples, contraction test, defect package, purity walk
 * charfn    characteristic function: point evaluation and Taylor series
 * traces    the multiplication matrix on truncated polynomial spaces
-* curvature the degree profile and the invariant by series / weighted /
-            integral routes
+* curvature the degree profile (from the sigma traces of the purity walk)
+            and the invariant by series / weighted / integral routes
 * fibredim  fibre dimension by evaluation rank and graded dimensions
 * pipeline  one-call orchestration producing a full report
 * cli       the `cnpcurv` command

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb import MultiIndex, enumerate_degree
+from .comb import enumerate_degree
 from .config import DEFAULT, Tolerances
 from .errors import HorizonExceeded, NearSingular, OutsideBall
 from .kernel import KernelSpec
@@ -27,6 +27,7 @@ __all__ = [
     "CharacteristicSeries",
     "eval_theta",
     "taylor",
+    "theta_horizon",
     "check_consistency",
     "sample_ball_points",
 ]
@@ -41,10 +42,6 @@ class PointEvaluation:
     @property
     def norm(self) -> float:
         return float(self.singular_values[0]) if self.singular_values.size else 0.0
-
-    @property
-    def trace_theta_theta_star(self) -> float:
-        return float(np.sum(self.singular_values**2))
 
 
 # Working memory one chunk of points may take in the batched evaluation.
@@ -144,8 +141,7 @@ def eval_theta(
 @dataclass(frozen=True)
 class CharacteristicSeries:
     """Graded Taylor data: coeffs maps alpha entries to the rank_delta x
-    rank_d matrix A_alpha, for |alpha| <= n_theta.  w and v are the range
-    bases the coefficients are expressed in (handles from the package)."""
+    rank_d matrix A_alpha, for |alpha| <= n_theta."""
 
     coeffs: dict[tuple[int, ...], np.ndarray]
     n_theta: int
@@ -155,20 +151,6 @@ class CharacteristicSeries:
     is_polynomial: bool
     degree: int | None           # exact degree when is_polynomial
     kernel_fingerprint: tuple
-    w: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-    def coeff(self, alpha) -> np.ndarray:
-        key = tuple(alpha.entries) if isinstance(alpha, MultiIndex) else tuple(alpha)
-        a = self.coeffs.get(key)
-        if a is None:
-            return np.zeros((self.rank_delta, self.rank_d), dtype=complex)
-        return a
-
-    def coeff_gram_trace(self, alpha) -> float:
-        """trace(A_alpha A_alpha*)."""
-        a = self.coeff(alpha)
-        return float(np.sum(np.abs(a) ** 2))
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Sum of A_gamma z^gamma over the stored coefficients, at one point
@@ -188,24 +170,13 @@ def taylor(
     n_theta: int | None = None,
     tol: Tolerances = DEFAULT,
 ) -> CharacteristicSeries:
-    """Extract A_gamma for |gamma| <= n_theta by graded convolution.
+    """Extract A_gamma for |gamma| <= n_theta (theta_horizon) by graded
+    convolution.
 
     A_0 = -W* Ttilde V; for |gamma| >= 1, A_gamma = W* Delta G_gamma Dtilde V
-    where G solves G = Z + B G degree by degree.  Requires n_theta <= n_op
-    unless the kernel certifies b_n = 0 beyond the package horizon.
+    where G solves G = Z + B G degree by degree.
     """
-    if n_theta is None:
-        n_theta = default_taylor_horizon(pkg, k)
-    if n_theta < 0:
-        raise ValueError("n_theta must be >= 0")
-    if n_theta > pkg.n_op and not k.b_is_zero_beyond(pkg.n_op):
-        raise HorizonExceeded(
-            f"n_theta = {n_theta} demands blocks beyond the package horizon "
-            f"n_op = {pkg.n_op}"
-        )
-    if n_theta > k.N and not k.b_is_zero_beyond(k.N):
-        raise HorizonExceeded(f"n_theta = {n_theta} beyond kernel horizon {k.N}")
-
+    n_theta = theta_horizon(pkg, k, n_theta)
     dim, tdim = pkg.dim_h, pkg.tilde_dim
 
     b_coeff: dict[tuple[int, ...], np.ndarray] = {}
@@ -247,18 +218,29 @@ def taylor(
         is_polynomial=is_poly,
         degree=degree,
         kernel_fingerprint=k.fingerprint(),
-        w=pkg.w,
-        v=pkg.v,
     )
 
 
-def default_taylor_horizon(pkg: DefectPackage, k: KernelSpec) -> int:
-    """Termination degree for nilpotent tuples over finitely supported b,
-    else the package horizon."""
-    nd = pkg.nilpotent_degree
-    if nd is not None and k.b_support_bound is not None:
-        return max(1, nd - 1 + k.b_support_bound)
-    return pkg.n_op
+def theta_horizon(pkg: DefectPackage, k: KernelSpec, n_theta: int | None = None) -> int:
+    """The degree the Taylor series and the degree profile are cut at.
+
+    Defaults to the termination degree for nilpotent tuples over finitely
+    supported b, else the package horizon.  Raises HorizonExceeded when
+    n_theta needs blocks beyond n_op or kernel coefficients beyond N that
+    the kernel does not certify to vanish."""
+    if n_theta is None:
+        nd, support = pkg.nilpotent_degree, k.b_support_bound
+        n_theta = pkg.n_op if nd is None or support is None else max(1, nd - 1 + support)
+    if n_theta < 0:
+        raise ValueError("n_theta must be >= 0")
+    if n_theta > pkg.n_op and not k.b_is_zero_beyond(pkg.n_op):
+        raise HorizonExceeded(
+            f"n_theta = {n_theta} demands blocks beyond the package horizon "
+            f"n_op = {pkg.n_op}"
+        )
+    if n_theta > k.N and not k.b_is_zero_beyond(k.N):
+        raise HorizonExceeded(f"n_theta = {n_theta} beyond kernel horizon {k.N}")
+    return n_theta
 
 
 def _polynomial_state(pkg, k, coeffs, n_theta, tol):

@@ -162,6 +162,12 @@ def _setup(args, package: bool = True):
     return t, k, pkg
 
 
+def _csv_row(n: int, *values: float) -> str:
+    from .formats import format_float17
+
+    return ",".join([str(n), *(format_float17(v) for v in values)])
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -267,20 +273,9 @@ def cmd_curvature(args) -> int:
         text = dumps_json17(payload, indent=2)
     else:
         lines = ["n,t_e_normalized,t_p_normalized,dpsi_partial,k_weighted"]
-        for row in report.convergence:
-            n = row["n"]
-            kw = report.k_weighted[n] if n < len(report.k_weighted) else float("nan")
-            lines.append(
-                ",".join(
-                    [
-                        str(n),
-                        format_float17(row["t_e_normalized"]),
-                        format_float17(row["t_p_normalized"]),
-                        format_float17(row["dpsi_partial"]),
-                        format_float17(kw),
-                    ]
-                )
-            )
+        for row, kw in zip(report.convergence, report.k_weighted, strict=True):
+            values = (row["t_e_normalized"], row["t_p_normalized"], row["dpsi_partial"], kw)
+            lines.append(_csv_row(row["n"], *values))
         lines.append(f"# k_series,{format_float17(report.k_series)}")
         lines.append(f"# k_integral,{format_float17(report.k_integral.estimate)}")
         lines.append(f"# k_pure,{report.k_pure}")
@@ -299,10 +294,8 @@ def cmd_theta(args) -> int:
     from .charfn import eval_theta, taylor
     from .formats import dumps_json17, format_float17
 
-    t, k, pkg = _setup(args)
+    _, k, pkg = _setup(args)
     point = np.array([complex(part) for part in args.point.split(",")])
-    if point.shape != (t.d,):
-        raise ValueError(f"point needs {t.d} coordinates, got {point.shape[0]}")
     pe = eval_theta(pkg, k, point)
     print("theta entries ([re, im] per column):")
     for row in pe.theta:
@@ -319,27 +312,15 @@ def cmd_theta(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    from .charfn import taylor
     from .comb import q
     from .curvature import DegreeProfile, ordering_rows
-    from .formats import format_float17
 
-    _, k, pkg = _setup(args)
-    rows = ordering_rows(DegreeProfile.build(taylor(pkg, k), k, args.max_n))
+    t, k, pkg = _setup(args)
+    rows = ordering_rows(DegreeProfile.build(t, pkg, k, args.max_n))
     print("n,trace_E,trace_E_normalized,trace_P_normalized,dpsi_partial")
     for row in rows:
         te = row["t_e_normalized"] * q(k.d - 1, row["n"])
-        print(
-            ",".join(
-                [
-                    str(row["n"]),
-                    format_float17(te),
-                    format_float17(row["t_e_normalized"]),
-                    format_float17(row["t_p_normalized"]),
-                    format_float17(row["dpsi_partial"]),
-                ]
-            )
-        )
+        print(_csv_row(row["n"], te, row["t_e_normalized"], row["t_p_normalized"], row["dpsi_partial"]))
     return 0
 
 

@@ -1,6 +1,8 @@
 """The curvature invariant by three routes, and their reconciliation.
 
-Every scalar route reads one DegreeProfile (c_n and t_E(n), see there):
+Every scalar route reads one DegreeProfile (c_n and t_E(n), see there),
+built from the traces u_m = tr sigma^m(Delta^2) of the walk that sums the
+purity series, not from the Taylor coefficients:
   series   : dim(Ran Delta) - sum_n c_n
   weighted : dim(Ran Delta) - sum_{i<=n} w_{i,n} t_E(i) (exact for
              polynomial symbols, cheaper than materializing the multiplier)
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import CharacteristicSeries, _theta_map, sample_ball_points
-from .comb import multinomial, q
+from .charfn import CharacteristicSeries, _theta_map, sample_ball_points, theta_horizon
+from .comb import q
 from .config import DEFAULT, Tolerances
 from .errors import (
     HorizonExceeded,
@@ -27,7 +29,7 @@ from .errors import (
     ReconcileFailure,
 )
 from .kernel import KernelSpec, weights
-from .tuples import DefectPackage
+from .tuples import DefectPackage, OperatorTuple, purity
 
 __all__ = [
     "DegreeProfile",
@@ -60,20 +62,42 @@ class DegreeProfile:
     t_e: np.ndarray
 
     @classmethod
-    def build(cls, series: CharacteristicSeries, k: KernelSpec, n_max: int = 0) -> DegreeProfile:
-        """The one pass over the Taylor coefficients.  Raises HorizonExceeded
-        when n_max lies beyond the kernel horizon."""
+    def build(
+        cls,
+        t: OperatorTuple,
+        pkg: DefectPackage,
+        k: KernelSpec,
+        n_max: int = 0,
+        n_theta: int | None = None,
+        traces: np.ndarray | None = None,
+    ) -> DegreeProfile:
+        """c_n for n <= n_theta (charfn.theta_horizon) from u_m = tr sigma^m(Delta^2).
+
+        For commuting T, I - B(z) = 1 - k_N(z.T*) with k_N(x) = sum_{1<=j<=n_op}
+        b_j x^j, and rank_delta - tr theta(z) theta(z)* = (1 - k_N(|z|^2))
+        ||(I - B(z))^{-*} Delta||_F^2.  Averaging over the sphere |z|^2 = x gives
+            rank_delta [n=0] - c_n = [x^n] (1 - k_N(x)) sum_m at_m^2 u_m x^m / q_{d-1}(m)
+        with at the reciprocal series of 1 - k_N (at_m = a_m for m <= n_op).
+        traces holds u_0..u_{n_theta} or more from the purity walk
+        (PurityReport.traces); when None, purity is run here to get them.
+        Raises HorizonExceeded when n_max lies beyond the kernel horizon."""
         if n_max > k.N:
             raise HorizonExceeded(f"degree {n_max} beyond kernel horizon {k.N}")
-        c = np.zeros(series.n_theta + 1)
-        for key in series.coeffs:
-            n = sum(key)
-            t = series.coeff_gram_trace(key)
-            if t:
-                c[n] += t / (q(k.d - 1, n) * multinomial(key))
+        n_theta = theta_horizon(pkg, k, n_theta)
+        if traces is None:
+            traces = purity(t, k, pkg, n_traces=n_theta).traces
+        b = k.b[1 : pkg.n_op + 1]
+        at = np.zeros(n_theta + 1)
+        at[0] = 1.0
+        for m in range(1, n_theta + 1):
+            j = min(m, len(b))
+            at[m] = np.dot(b[:j], at[m - j : m][::-1])
+        g = at**2 * traces[: n_theta + 1] / np.array([q(k.d - 1, m) for m in range(n_theta + 1)])
+        c = -np.convolve(np.concatenate(([1.0], -b)), g)[: n_theta + 1]
+        c[0] += pkg.rank_delta
         t_e = np.empty(n_max + 1)
         for n in range(n_max + 1):
-            m = min(n, series.n_theta)
+            m = min(n, n_theta)
             t_e[n] = float(np.dot(k.a[n - m : n + 1][::-1], c[: m + 1]) / k.a[n])
         return cls(kernel=k, c=c, t_e=t_e)
 
@@ -104,9 +128,9 @@ class DegreeProfile:
         )
 
 
-def theta_trace_E_normalized(series: CharacteristicSeries, k: KernelSpec, n: int) -> float:
+def theta_trace_E_normalized(profile: DegreeProfile, n: int) -> float:
     """trace(M M* E_n) / q_{d-1}(n): the degree-n entry of the profile's t_e."""
-    return float(DegreeProfile.build(series, k, n).t_e[n])
+    return float(profile.t_e[n])
 
 
 def curvature_weighted(profile: DegreeProfile, rank_delta: int) -> np.ndarray:

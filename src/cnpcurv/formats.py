@@ -42,12 +42,14 @@ def _parse_entry(e) -> complex:
 
 
 def load_tuple_json(source) -> OperatorTuple:
-    """Parse and validate the tuple input schema from a path, JSON string,
-    or already-decoded dict."""
-    if isinstance(source, (str, Path)):
-        p = Path(source)
-        text = p.read_text() if p.exists() else str(source)
-        data = json.loads(text)
+    """Parse and validate the tuple input schema from a path, JSON text, or
+    an already-decoded dict.  A str whose first non-blank character is "{"
+    is JSON text; any other str or Path names a file (FileNotFoundError
+    when there is none)."""
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        data = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        data = json.loads(Path(source).read_text())
     else:
         data = source
     try:

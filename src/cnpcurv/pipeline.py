@@ -1,9 +1,9 @@
 """End-to-end orchestration: tuple + kernel -> full curvature report."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .charfn import taylor, default_taylor_horizon
+from .charfn import taylor, theta_horizon
 from .config import DEFAULT, Tolerances
 from .curvature import (
     CurvatureReport,
@@ -25,7 +25,7 @@ __all__ = ["RunSettings", "PipelineResult", "run_curvature"]
 @dataclass(frozen=True)
 class RunSettings:
     n_op: int | None = None       # defect series horizon (None: nilpotency default)
-    n_theta: int | None = None    # Taylor horizon (None: termination degree or n_op)
+    n_theta: int | None = None    # profile and Taylor horizon (None: termination degree or n_op)
     n_max: int = 12               # weighted/ordering table depth
     radius: float = 0.999
     n_samples: int = 4000
@@ -47,20 +47,19 @@ class PipelineResult:
 
 
 def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()) -> PipelineResult:
-    """load -> defect -> purity -> taylor -> degree profile -> curvature ->
+    """load -> defect -> purity and degree profile -> curvature -> taylor ->
     fd -> reconcile, collecting everything into a CurvatureReport.
 
-    The degree profile is built once from the Taylor series; the series,
-    weighted, exact sphere-average, pure and monitoring routes all read it."""
+    One sigma walk sums the purity series and gives the traces the degree
+    profile is built from, once; the series, weighted, exact sphere-average,
+    pure and monitoring routes all read it.  The Taylor series serves only
+    the graded fibre dimension and the polynomial state."""
     tol = settings.tol
     pkg = defect_package(t, k, n_op=settings.n_op, tol=tol)
-    pur = purity(t, k, pkg)
-    n_theta = settings.n_theta
-    if n_theta is None:
-        n_theta = default_taylor_horizon(pkg, k)
+    n_theta = theta_horizon(pkg, k, settings.n_theta)
+    pur = purity(t, k, pkg, n_traces=n_theta)
+    profile = DegreeProfile.build(t, pkg, k, settings.n_max, n_theta, traces=pur.traces)
     series = taylor(pkg, k, n_theta=n_theta, tol=tol)
-
-    profile = DegreeProfile.build(series, k, settings.n_max)
     dpsi = profile.series_value
     k_series = pkg.rank_delta - dpsi
     k_w = curvature_weighted(profile, pkg.rank_delta)
@@ -130,8 +129,6 @@ def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSe
 
 
 def _with_grading(fd_rep, graded):
-    from dataclasses import replace
-
     slope = float(graded[-1] - graded[-2]) if len(graded) >= 2 else 0.0
     return replace(
         fd_rep,

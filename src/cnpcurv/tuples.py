@@ -337,12 +337,14 @@ def defect_package(
 @dataclass(frozen=True)
 class PurityReport:
     """Partial sum of sum_alpha a_alpha T^alpha Delta^2 (T^alpha)* and its
-    distance from the identity."""
+    distance from the identity, with the traces u_m = tr sigma^m(Delta^2)
+    of the walk that summed it (m = 0..max(n_op, n_traces))."""
 
     p_n: np.ndarray
     purity_residual: float
     exact: bool
     n_op: int
+    traces: np.ndarray
 
 
 def purity(
@@ -350,11 +352,14 @@ def purity(
     k: KernelSpec,
     pkg: DefectPackage,
     n_op: int | None = None,
+    n_traces: int = 0,
 ) -> PurityReport:
     """Evaluate the purity series partial sum at horizon n_op.
 
     Degree n of the series is a_n sigma^n(Delta^2) with sigma(X) =
-    sum_i T_i X T_i*, because T commutes and a_alpha = a_n n!/alpha!.
+    sum_i T_i X T_i*, because T commutes and a_alpha = a_n n!/alpha!.  The
+    walk runs on to degree n_traces when that is larger and records every
+    trace tr sigma^m(Delta^2), for the degree profile.
     exact is True when the tuple is jointly nilpotent and the horizon covers
     every nonvanishing term, in which case the series has terminated.
     """
@@ -364,13 +369,18 @@ def purity(
         raise HorizonExceeded(f"n_op = {n_op} beyond kernel horizon N = {k.N}")
     x = pkg.delta @ pkg.delta
     p = float(k.a[0]) * x
-    for n in range(1, n_op + 1):
+    traces = [np.trace(x).real]
+    for n in range(1, max(n_op, n_traces) + 1):
         x = sum(ti @ x @ ti.conj().T for ti in t.ops)
-        p += float(k.a[n]) * x
+        traces.append(np.trace(x).real)
+        if n <= n_op:
+            p += float(k.a[n]) * x
     residual = op_norm(np.eye(t.dim_h) - p)
     nd = pkg.nilpotent_degree
     exact = nd is not None and n_op >= nd - 1
-    return PurityReport(p_n=p, purity_residual=residual, exact=exact, n_op=n_op)
+    return PurityReport(
+        p_n=p, purity_residual=residual, exact=exact, n_op=n_op, traces=np.array(traces)
+    )
 
 
 def conjugate_by_unitary(

@@ -22,6 +22,13 @@ that whole matrix.  cnpcurv.fibredim.fd_by_grading reads every degree's
 rank off a leading block of one streamed triangular factor instead, which
 agrees only because a source monomial never lowers the degree.
 
+profile_from_series builds the degree profile the way the library did
+before it read the sigma traces: c_n sums trace(A_gamma A_gamma*) over the
+Taylor coefficients of degree n (coeff and coeff_gram_trace read them).
+cnpcurv.curvature.DegreeProfile.build gets the same numbers from the
+traces u_m = tr sigma^m(Delta^2) and one scalar convolution, without the
+Taylor series.
+
 The dense graded traces (mz_matrix, phi_apply, trace_E/P, trace_phi_E,
 dpsi_trace_partial, weighted_degree_trace, multiplier_gram,
 series_identity_check, factx_check, trace_table) compute the per-degree
@@ -38,6 +45,7 @@ import numpy as np
 
 from cnpcurv.comb import MultiIndex, as_multi_index, enumerate_degree, multinomial, q
 from cnpcurv.config import DEFAULT, Tolerances
+from cnpcurv.curvature import DegreeProfile
 from cnpcurv.errors import HorizonExceeded
 from cnpcurv.fibredim import _numerical_ranks
 from cnpcurv.kernel import KernelSpec, weights
@@ -128,6 +136,39 @@ def fd_by_grading_reference(
         m = multiplier_matrix(k, series.coeffs, n, n)
         out[n] = _numerical_ranks(m[None], tol.eps_rank)[0] / q(k.d, n)
     return out
+
+
+def coeff(series, alpha) -> np.ndarray:
+    """A_alpha of the series, zero when not stored."""
+    key = tuple(alpha.entries) if isinstance(alpha, MultiIndex) else tuple(alpha)
+    a = series.coeffs.get(key)
+    if a is None:
+        return np.zeros((series.rank_delta, series.rank_d), dtype=complex)
+    return a
+
+
+def coeff_gram_trace(series, alpha) -> float:
+    """trace(A_alpha A_alpha*)."""
+    a = coeff(series, alpha)
+    return float(np.sum(np.abs(a) ** 2))
+
+
+def profile_from_series(series, k: KernelSpec, n_max: int = 0) -> DegreeProfile:
+    """The one pass over the Taylor coefficients.  Raises HorizonExceeded
+    when n_max lies beyond the kernel horizon."""
+    if n_max > k.N:
+        raise HorizonExceeded(f"degree {n_max} beyond kernel horizon {k.N}")
+    c = np.zeros(series.n_theta + 1)
+    for key in series.coeffs:
+        n = sum(key)
+        t = coeff_gram_trace(series, key)
+        if t:
+            c[n] += t / (q(k.d - 1, n) * multinomial(key))
+    t_e = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        m = min(n, series.n_theta)
+        t_e[n] = float(np.dot(k.a[n - m : n + 1][::-1], c[: m + 1]) / k.a[n])
+    return DegreeProfile(kernel=k, c=c, t_e=t_e)
 
 
 # -- dense graded traces ----------------------------------------------------

@@ -186,7 +186,7 @@ class TestCriterion5:
             }
             single = nonzero == {(kdim,)}
             modulus = abs(series.coeffs[(kdim,)][0, 0])
-            profile = DegreeProfile.build(series, kern, 12)
+            profile = DegreeProfile.build(t, pkg, kern, 12)
             dpsi = profile.series_value
             kw = curvature_weighted(profile, pkg.rank_delta)
             kw_ok = bool(np.all(np.abs(kw[kdim:]) <= 1e-10))
@@ -222,9 +222,8 @@ class TestCriterion6:
         k = preset("dirichlet", d=1, N=n_theta + 4)
         t = cc.load_tuple([np.zeros((m, m))])
         pkg = cc.defect_package(t, k, n_op=n_theta)
-        series = cc.taylor(pkg, k, n_theta=n_theta)
 
-        dpsi = DegreeProfile.build(series, k).series_value
+        dpsi = DegreeProfile.build(t, pkg, k, n_theta=n_theta).series_value
         partial = m * k.b_partial_sum(n_theta)
         series_ok = abs(dpsi - partial) <= 1e-12
 
@@ -397,15 +396,13 @@ class TestCriterion9:
         trials = 0
         for t, k in bases:
             pkg = cc.defect_package(t, k)
-            series = cc.taylor(pkg, k)
-            k_series = pkg.rank_delta - DegreeProfile.build(series, k).series_value
+            k_series = pkg.rank_delta - DegreeProfile.build(t, pkg, k).series_value
             fd = fd_report(pkg, k).fd_eval
             for _ in range(10):
                 u = random_unitary(rng, t.dim_h)
                 t2 = cc.conjugate_by_unitary(t, u)
                 pkg2 = cc.defect_package(t2, k)
-                series2 = cc.taylor(pkg2, k)
-                k2 = pkg2.rank_delta - DegreeProfile.build(series2, k).series_value
+                k2 = pkg2.rank_delta - DegreeProfile.build(t2, pkg2, k).series_value
                 worst = max(worst, abs(k2 - k_series))
                 fd_ok &= fd_report(pkg2, k).fd_eval == fd
                 trials += 1

@@ -1,5 +1,7 @@
 """The traced benchmark run patches library functions by name: every name it
 lists must still resolve, or a refactor would silently break the trace.
+Each size recorder it applies to a return value must also still accept
+what the function returns, or the traced run would crash midway.
 
 perfbench/tracer.py is loaded read-only from the checkout; nothing is
 installed or patched here.
@@ -7,6 +9,11 @@ installed or patched here.
 import importlib
 import importlib.util
 from pathlib import Path
+
+import cnpcurv as cc
+from cnpcurv.traces import multiplier_matrix
+
+from conftest import jordan_block
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -27,3 +34,21 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(mod), fn, None))
     ]
     assert not missing, f"traced names no longer in the library: {missing}"
+
+
+def test_size_recorders_accept_real_results():
+    t = cc.load_tuple([jordan_block(3)])
+    k = cc.preset("szego", d=1, N=10)
+    pkg = cc.defect_package(t, k)
+    series = cc.taylor(pkg, k)
+    results = {
+        "cnpcurv.tuples.defect_package": pkg,
+        "cnpcurv.charfn.taylor": series,
+        "cnpcurv.traces.multiplier_matrix": multiplier_matrix(k, series.coeffs, 3, 3),
+    }
+    sized = [(f"{mod}.{fn}", sizer) for mod, fn, sizer in _tracer().SPANNED if sizer]
+    assert sized
+    for name, sizer in sized:
+        assert name in results, f"no sample result for the sized span {name}"
+        size = sizer(results[name])
+        assert isinstance(size, int) and size >= 0, (name, size)

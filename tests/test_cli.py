@@ -55,6 +55,25 @@ class TestTupleSchema:
         with pytest.raises(ShapeError):
             load_tuple_json({"d": 1, "operators": []})
 
+    def test_long_json_text_loads(self):
+        # longer than a file name may be: decided by content, not by lookup
+        text = json.dumps({"d": 1, "dimH": 12, "operators": [[[0] * 12] * 12]})
+        assert len(text) > 255
+        t = load_tuple_json(text)
+        assert t.d == 1 and t.dim_h == 12
+
+    def test_json_text_with_leading_blanks_loads(self):
+        text = '\n  {"d": 1, "dimH": 1, "operators": [[[0.5]]]}'
+        assert load_tuple_json(text).ops[0][0, 0] == 0.5
+
+    def test_missing_path(self, tmp_path, capsys):
+        path = str(tmp_path / "no" / "such.json")
+        with pytest.raises(FileNotFoundError):
+            load_tuple_json(path)
+        assert main(["fd", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError") and path in err
+
 
 class TestIdentities:
     def test_battery_3_8(self, capsys):
@@ -258,6 +277,13 @@ class TestThetaCommand:
         )
         assert rc == EXIT_CODES["OutsideBall"] == 8
 
+    def test_wrong_coordinate_count_exit(self, jordan3_file, capsys):
+        rc = main(
+            ["theta", "--input", jordan3_file, "--kernel", "szego", "--point", "0.1,0.2"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: point must have 1")
+
 
 class TestTracesCommand:
     def test_csv_columns(self, jordan3_file, capsys):
@@ -269,6 +295,18 @@ class TestTracesCommand:
         assert lines[0] == "n,trace_E,trace_E_normalized,trace_P_normalized,dpsi_partial"
         assert len(lines) == 8
         last = lines[-1].split(",")
+        assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_traces_builds_no_taylor_series(self, jordan3_file, monkeypatch, capsys):
+        import cnpcurv.charfn as charfn
+
+        def refused(*args, **kwargs):
+            raise AssertionError("taylor called")
+
+        monkeypatch.setattr(charfn, "taylor", refused)
+        rc = main(["traces", "--input", jordan3_file, "--kernel", "szego", "--max-n", "6"])
+        assert rc == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -15,6 +15,7 @@ from cnpcurv.errors import NotPure, ReconcileFailure
 from cnpcurv.pipeline import RunSettings, run_curvature
 
 from conftest import jordan_block, random_nilpotent_tuple, random_unitary
+from oracles import profile_from_series
 
 
 def build(t, k, n_op=None, n_theta=None):
@@ -42,37 +43,37 @@ class TestDpsiSeries:
         m = 3
         t = cc.load_tuple([np.zeros((m, m))])
         k = cc.preset("dirichlet", d=1, N=40)
-        pkg, series = build(t, k, n_op=30, n_theta=30)
-        assert DegreeProfile.build(series, k).series_value == pytest.approx(
+        pkg = cc.defect_package(t, k, n_op=30)
+        assert DegreeProfile.build(t, pkg, k, n_theta=30).series_value == pytest.approx(
             m * k.b_partial_sum(30), abs=1e-12
         )
 
     def test_jordan_is_one(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
-        pkg, series = build(t, k)
-        assert DegreeProfile.build(series, k).series_value == pytest.approx(1.0, abs=1e-12)
+        pkg = cc.defect_package(t, k)
+        assert DegreeProfile.build(t, pkg, k).series_value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_series(self):
         k = cc.preset("szego", d=1, N=5)
         series = synthetic_series(1, {(0,): np.zeros((1, 1))}, 1, 1, k)
-        assert DegreeProfile.build(series, k).series_value == 0.0
+        assert profile_from_series(series, k).series_value == 0.0
 
 
 class TestWeightedRoute:
     def test_jordan_vanishes_past_degree(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=14)
-        pkg, series = build(t, k)
-        kw = curvature_weighted(DegreeProfile.build(series, k, 12), pkg.rank_delta)
+        pkg = cc.defect_package(t, k)
+        kw = curvature_weighted(DegreeProfile.build(t, pkg, k, 12), pkg.rank_delta)
         assert np.allclose(kw[3:], 0.0, atol=1e-12)
         assert np.allclose(kw[:3], 1.0, atol=1e-12)
 
     def test_zero_tuple_da(self):
         t = cc.load_tuple([np.zeros((1, 1))])
         k = cc.preset("drury-arveson", d=1, N=10)
-        pkg, series = build(t, k, n_op=1, n_theta=1)
-        kw = curvature_weighted(DegreeProfile.build(series, k, 8), pkg.rank_delta)
+        pkg = cc.defect_package(t, k, n_op=1)
+        kw = curvature_weighted(DegreeProfile.build(t, pkg, k, 8, n_theta=1), pkg.rank_delta)
         assert np.allclose(kw[1:], 0.0, atol=1e-12)
 
     def test_vanishing_symbol_keeps_dim(self):
@@ -80,7 +81,7 @@ class TestWeightedRoute:
         k = cc.preset("szego", d=1, N=8)
         pkg, _ = build(t, k)
         series = synthetic_series(1, {(0,): np.zeros((1, 1))}, 1, 1, k)
-        kw = curvature_weighted(DegreeProfile.build(series, k, 6), pkg.rank_delta)
+        kw = curvature_weighted(profile_from_series(series, k, 6), pkg.rank_delta)
         assert np.allclose(kw, pkg.rank_delta)
 
     def test_polynomial_fast_formula_constant_coefficients(self):
@@ -88,10 +89,10 @@ class TestWeightedRoute:
         t = cc.load_tuple([jordan_block(4)])
         k = cc.preset("szego", d=1, N=14)
         pkg, series = build(t, k)
-        value = DegreeProfile.build(series, k).series_value
+        profile = DegreeProfile.build(t, pkg, k, 12)
         for n in range(series.degree + 2, 13):
-            assert theta_trace_E_normalized(series, k, n) == pytest.approx(
-                value, abs=1e-10
+            assert theta_trace_E_normalized(profile, n) == pytest.approx(
+                profile.series_value, abs=1e-10
             )
 
     def test_polynomial_ratio_trend_dirichlet(self):
@@ -100,9 +101,10 @@ class TestWeightedRoute:
         k = cc.preset("dirichlet", d=1, N=30)
         coeffs = {(2,): np.array([[0.5]], dtype=complex)}
         series = synthetic_series(1, coeffs, 1, 1, k)
-        value = DegreeProfile.build(series, k).series_value
+        profile = profile_from_series(series, k, 27)
+        value = profile.series_value
         for n in range(4, 28):
-            te = theta_trace_E_normalized(series, k, n)
+            te = theta_trace_E_normalized(profile, n)
             inflation = float(k.a[n - 2] / k.a[n])
             assert value - 1e-12 <= te <= value * inflation + 1e-12
 
@@ -127,11 +129,11 @@ class TestIntegralRoute:
     def test_matches_exact_average_from_series(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
-        pkg, series = build(t, k)
+        pkg = cc.defect_package(t, k)
         r = 0.7
         est = curvature_integral(pkg, k, radius=r, n_samples=200, seed=9)
         assert pkg.rank_delta - est.estimate == pytest.approx(
-            DegreeProfile.build(series, k).sphere_average(r), abs=1e-12
+            DegreeProfile.build(t, pkg, k).sphere_average(r), abs=1e-12
         )
 
     def test_sphere_average_is_constant_for_unitary_invariance(self):
@@ -164,7 +166,7 @@ class TestPureRoute:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg, series = build(t, k)
-        profile = DegreeProfile.build(series, k)
+        profile = DegreeProfile.build(t, pkg, k)
         assert curvature_pure(pkg, series, profile, fd_estimate=1, purity_residual=0.0) == 0
 
     def test_zero_tuple(self):
@@ -172,7 +174,7 @@ class TestPureRoute:
         t = cc.load_tuple([np.zeros((m, m))])
         k = cc.preset("drury-arveson", d=1, N=8)
         pkg, series = build(t, k, n_op=1, n_theta=1)
-        profile = DegreeProfile.build(series, k)
+        profile = DegreeProfile.build(t, pkg, k, n_theta=1)
         assert curvature_pure(pkg, series, profile, fd_estimate=m, purity_residual=0.0) == 0
 
     def test_vanishing_symbol_extreme_case(self):
@@ -180,14 +182,14 @@ class TestPureRoute:
         t = cc.load_tuple([np.zeros((1, 1))])
         pkg, _ = build(t, k, n_op=1, n_theta=1)
         series = synthetic_series(1, {(0,): np.zeros((1, 1))}, 1, 0, k)
-        profile = DegreeProfile.build(series, k)
+        profile = profile_from_series(series, k)
         assert curvature_pure(pkg, series, profile, fd_estimate=0, purity_residual=0.0) == 1
 
     def test_not_pure(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg, series = build(t, k)
-        profile = DegreeProfile.build(series, k)
+        profile = DegreeProfile.build(t, pkg, k)
         with pytest.raises(NotPure):
             curvature_pure(pkg, series, profile, fd_estimate=1, purity_residual=1.0)
 
@@ -257,32 +259,43 @@ class TestPipelineAndReconcile:
             n_theta=3,
             n_op=2,
             tail_bound=0.0,
-            convergence=ordering_rows(DegreeProfile.build(series, k1, 3)),
+            convergence=ordering_rows(DegreeProfile.build(t, pkg, k1, 3)),
         )
         with pytest.raises(ReconcileFailure):
             reconcile(report, series, pkg, k2)
 
     def test_profile_built_once(self, monkeypatch):
-        # every scalar route reads one profile; the per-degree view
-        # theta_trace_E_normalized is for callers outside the pipeline
+        # every scalar route reads one profile, built from the traces of the
+        # one sigma walk, the one that sums the purity series; the per-degree
+        # view theta_trace_E_normalized is for callers outside the pipeline
         import cnpcurv.curvature as curv
+        import cnpcurv.pipeline as pipeline
+        import cnpcurv.tuples as tuples
 
-        builds = []
+        builds, walks = [], []
         build = DegreeProfile.build
+        walk = tuples.purity
 
-        def counting(series, k, n_max=0):
+        def counting(t, pkg, k, n_max=0, n_theta=None, traces=None):
             builds.append(n_max)
-            return build(series, k, n_max)
+            return build(t, pkg, k, n_max, n_theta, traces)
+
+        def counting_walk(t, k, pkg, n_op=None, n_traces=0):
+            walks.append(n_traces)
+            return walk(t, k, pkg, n_op, n_traces)
 
         def unused(*args):
             raise AssertionError("theta_trace_E_normalized called")
 
         monkeypatch.setattr(DegreeProfile, "build", counting)
+        for module in (tuples, curv, pipeline):
+            monkeypatch.setattr(module, "purity", counting_walk)
         monkeypatch.setattr(curv, "theta_trace_E_normalized", unused)
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=16)
         run_curvature(t, k, RunSettings(n_samples=100, n_max=12))
         assert builds == [12]
+        assert walks == [3]
 
     def test_estimator_ranges_on_random_tuples(self, rng):
         for _ in range(4):
@@ -297,12 +310,12 @@ class TestPipelineAndReconcile:
     def test_unitary_invariance_of_k_series(self, rng):
         t = random_nilpotent_tuple(rng)
         k = cc.preset("drury-arveson", d=t.d, N=14)
-        pkg, series = build(t, k)
-        base = pkg.rank_delta - DegreeProfile.build(series, k).series_value
+        pkg = cc.defect_package(t, k)
+        base = pkg.rank_delta - DegreeProfile.build(t, pkg, k).series_value
         for _ in range(3):
             t2 = cc.conjugate_by_unitary(t, random_unitary(rng, t.dim_h))
-            pkg2, series2 = build(t2, k)
-            val = pkg2.rank_delta - DegreeProfile.build(series2, k).series_value
+            pkg2 = cc.defect_package(t2, k)
+            val = pkg2.rank_delta - DegreeProfile.build(t2, pkg2, k).series_value
             assert val == pytest.approx(base, abs=1e-10)
 
     def test_parrott_d1(self, rng):
@@ -322,11 +335,11 @@ class TestDegenerateCodomain:
         # theta has no rows, and every estimator returns dim = 0
         t = cc.load_tuple([np.eye(2)])
         k = cc.preset("drury-arveson", d=1, N=8)
-        pkg, series = build(t, k, n_op=4, n_theta=4)
+        pkg = cc.defect_package(t, k, n_op=4)
         assert pkg.rank_delta == 0
         est = curvature_integral(pkg, k, radius=0.5, n_samples=50, seed=1)
         assert est.estimate == 0.0 and est.stderr == 0.0
-        assert DegreeProfile.build(series, k).series_value == 0.0
+        assert DegreeProfile.build(t, pkg, k, n_theta=4).series_value == 0.0
 
     def test_sample_count_validated(self):
         t = cc.load_tuple([jordan_block(2)])
@@ -351,9 +364,10 @@ class TestExplicitMatrixCrossCheck:
         ]
         for t, k in cases:
             pkg, series = build(t, k)
+            profile = DegreeProfile.build(t, pkg, k, 6)
             for n in range(7):
                 chk = series_identity_check(k, series.coeffs, n)
                 assert chk.residual <= 1e-11
                 assert chk.rhs == pytest.approx(
-                    theta_trace_E_normalized(series, k, n), abs=1e-11
+                    theta_trace_E_normalized(profile, n), abs=1e-11
                 )

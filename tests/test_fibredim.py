@@ -216,7 +216,7 @@ class TestInnermult:
         k = cc.preset("szego", d=1, N=16)
         pkg, series = build(t, k)
         rep = fd_report(pkg, k, purity_residual=0.0)
-        profile = DegreeProfile.build(series, k, 12)
+        profile = DegreeProfile.build(t, pkg, k, 12)
         rows = ordering_rows(profile)
         verdict = innermult_consistency(
             rep,

@@ -6,15 +6,22 @@
   matrix and shares no code with the profile.
 * Direct sums add: theta_{T (+) S} is theta_T (+) theta_S up to unitaries of
   the range bases, so c_n(T (+) S) = c_n(T) + c_n(S) at a common horizon.
+* The profile the library builds from the sigma traces equals the one the
+  Taylor coefficients give (tests/oracles.py:profile_from_series), on
+  nilpotent and non-nilpotent tuples in d = 1, 2, 3 over every preset and
+  two custom kernels, at default and explicit horizons.
 """
+from fractions import Fraction
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cnpcurv as cc
 from cnpcurv.curvature import DegreeProfile, ordering_rows
 
 from conftest import random_unitary, truncated_shift_ops
-from oracles import multiplier_gram, trace_table
+from oracles import multiplier_gram, profile_from_series, trace_table
 
 KERNELS = {1: ("szego", "drury-arveson", "dirichlet"), 2: ("drury-arveson", "dirichlet")}
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -55,7 +62,7 @@ def test_profile_matches_dense_oracle(case, n_max):
     pkg = cc.defect_package(t, k)
     series = cc.taylor(pkg, k)
     assume(series.rank_delta > 0 and series.rank_d > 0)
-    rows = ordering_rows(DegreeProfile.build(series, k, n_max))
+    rows = ordering_rows(DegreeProfile.build(t, pkg, k, n_max))
     space, x = multiplier_gram(k, series.coeffs, max_degree=n_max)
     for row, ref in zip(rows, trace_table(space, x, n_max), strict=True):
         assert row["n"] == ref.n
@@ -79,5 +86,80 @@ def test_direct_sum_adds_degree_profiles(first, second_seed, second_size):
     c = []
     for t in tuples:
         pkg = cc.defect_package(t, k, n_op=horizon)
-        c.append(DegreeProfile.build(cc.taylor(pkg, k, n_theta=horizon), k).c)
+        c.append(DegreeProfile.build(t, pkg, k, n_theta=horizon).c)
     assert np.allclose(c[2], c[0] + c[1], rtol=1e-10, atol=1e-10)
+
+
+def _kernel(name: str, d: int, N: int) -> cc.KernelSpec:
+    if name == "custom":  # a_n = 1/(n+1)^2: log-convex, so every b_n >= 0
+        return cc.from_coefficients([Fraction(1, (n + 1) ** 2) for n in range(N + 1)], d=d)
+    if name == "two-step":  # b = (1/2, 1/2, 0, ...): finite support, a not constant
+        a = [Fraction(1), Fraction(1, 2)]
+        while len(a) <= N:
+            a.append((a[-1] + a[-2]) / 2)
+        return cc.from_coefficients(a, d=d, name=name, b_support_bound=2)
+    return cc.preset(name, d=d, N=N)
+
+
+def _commuting_ops(rng: np.random.Generator, d: int, size: int, kind: str) -> list[np.ndarray]:
+    """T_i = random combinations of commuting generators: A and A^2 for one
+    random size x size matrix A ("power"; "nilpotent-power" makes A strictly
+    lower triangular), or the truncated shifts of top degree 2 in d
+    variables ("shift").  Sum of squared norms at most 0.8."""
+    if kind == "shift":
+        gens = truncated_shift_ops(d, 2)
+    else:
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        gens = [np.tril(a, -1) if kind == "nilpotent-power" else a]
+        gens.append(gens[0] @ gens[0])
+    ops = [
+        sum(c * g for c, g in zip(rng.standard_normal(len(gens)) + 1j * rng.standard_normal(len(gens)), gens))
+        for _ in range(d)
+    ]
+    rho = sum(np.linalg.norm(m, 2) ** 2 for m in ops)
+    return [np.sqrt(0.8 / rho) * m for m in ops] if rho > 0.8 else ops
+
+
+@st.composite
+def profile_cases(draw):
+    """(tuple, kernel, n_op or None, n_max); non-nilpotent tuples always
+    take an explicit n_op, nilpotent ones at least half of the time."""
+    d = draw(st.integers(1, 3))
+    names = ("drury-arveson", "dirichlet", "custom", "two-step") + (("szego",) if d == 1 else ())
+    name = draw(st.sampled_from(names))
+    kind = draw(st.sampled_from(("power", "nilpotent-power", "shift")))
+    size = draw(st.integers(1, 5 if d < 3 else 3))
+    ops = _commuting_ops(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, size, kind)
+    # two-step: the default cut nd - 1 + 2 needs blocks up to degree 2
+    explicit = kind == "power" or name == "two-step" or draw(st.booleans())
+    n_op = draw(st.integers(2 if name == "two-step" else 1, 6)) if explicit else None
+    return cc.load_tuple(ops), _kernel(name, d, 12), n_op, draw(st.integers(0, 8))
+
+
+@SETTINGS
+@given(case=profile_cases(), data=st.data())
+def test_sigma_route_matches_taylor_oracle(case, data):
+    t, k, n_op, n_max = case
+    pkg = cc.defect_package(t, k, n_op=n_op)
+    # explicit cuts past n_op, and past the kernel horizon N = 12, where b
+    # is certified to vanish beyond them
+    top = 16 if k.b_is_zero_beyond(pkg.n_op) else pkg.n_op
+    n_theta = data.draw(st.none() | st.integers(0, top))
+    got = DegreeProfile.build(t, pkg, k, n_max, n_theta)
+    ref = profile_from_series(cc.taylor(pkg, k, n_theta), k, n_max)
+    for key in ("c", "t_e", "t_p", "dpsi_partial"):
+        a, b = getattr(got, key), getattr(ref, key)
+        assert a.shape == b.shape, key
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))), (key, a, b)
+
+
+@pytest.mark.parametrize("name", ["drury-arveson", "two-step"])
+def test_sigma_route_past_kernel_horizon(name):
+    # b vanishes past n_op, so the cut may pass N = 12; the reciprocal series
+    # of 1 - k_N then runs on from the b-recurrence, beyond the a-table
+    k = _kernel(name, 1, 12)
+    t = cc.load_tuple(_commuting_ops(np.random.default_rng(3), 1, 3, "power"))
+    pkg = cc.defect_package(t, k, n_op=3)
+    got = DegreeProfile.build(t, pkg, k, 8, n_theta=16)
+    ref = profile_from_series(cc.taylor(pkg, k, n_theta=16), k, 8)
+    assert np.all(np.abs(got.c - ref.c) <= 1e-12 * np.maximum(1.0, np.abs(ref.c)))
