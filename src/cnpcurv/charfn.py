@@ -178,6 +178,10 @@ def taylor(
     """
     n_theta = theta_horizon(pkg, k, n_theta)
     dim, tdim = pkg.dim_h, pkg.tilde_dim
+    # read first: the package may build Dtilde and V now, and the selection
+    # matrices below together take as much memory as its tilde_dim Gram
+    left = pkg.w.conj().T @ pkg.delta
+    right = pkg.d_tilde @ pkg.v
 
     b_coeff: dict[tuple[int, ...], np.ndarray] = {}
     z_coeff: dict[tuple[int, ...], np.ndarray] = {}
@@ -188,9 +192,6 @@ def taylor(
         sel = np.zeros((dim, tdim), dtype=complex)
         sel[:, pkg.block_slice(idx)] = root * np.eye(dim)
         z_coeff[alpha.entries] = sel
-
-    left = pkg.w.conj().T @ pkg.delta
-    right = pkg.d_tilde @ pkg.v
 
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     coeffs[(0,) * k.d] = -pkg.w.conj().T @ pkg.t_tilde @ pkg.v

@@ -141,23 +141,16 @@ def _preset_horizon(args, *extra: int) -> int:
     return max(candidates) + 2
 
 
-def _kernel_for(args, d: int, *extra: int):
-    from .formats import kernel_from_args
-
-    return kernel_from_args(
-        args.kernel, args.kernel_file, d=d, horizon=_preset_horizon(args, *extra)
-    )
-
-
 def _setup(args, package: bool = True):
     """(tuple, kernel, defect package at --horizon or None); the kernel
     horizon also covers the nilpotency default plus dimH."""
-    from .formats import load_tuple_json
+    from .formats import kernel_from_args, load_tuple_json
     from .tuples import default_horizon, defect_package
 
     t = load_tuple_json(args.input)
     auto = default_horizon(t)
-    k = _kernel_for(args, t.d, *([auto + t.dim_h] if auto is not None else []))
+    horizon = _preset_horizon(args, *([auto + t.dim_h] if auto is not None else []))
+    k = kernel_from_args(args.kernel, args.kernel_file, d=t.d, horizon=horizon)
     pkg = defect_package(t, k, n_op=args.horizon) if package else None
     return t, k, pkg
 
@@ -219,10 +212,10 @@ def cmd_identities(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    from .formats import format_float17
+    from .formats import format_float17, kernel_from_args
     from .kernel import regularity
 
-    k = _kernel_for(args, d=args.dim)
+    k = kernel_from_args(args.kernel, args.kernel_file, d=args.dim, horizon=args.horizon)
     print("table,n,i,value")
     for n in range(k.N + 1):
         print(f"a,{n},,{format_float17(k.a[n])}")

@@ -80,7 +80,10 @@ class DegreeProfile:
         with at the reciprocal series of 1 - k_N (at_m = a_m for m <= n_op).
         traces holds u_0..u_{n_theta} or more from the purity walk
         (PurityReport.traces); when None, purity is run here to get them.
-        Raises HorizonExceeded when n_max lies beyond the kernel horizon."""
+        Raises ValueError when n_max is negative and HorizonExceeded when it
+        lies beyond the kernel horizon."""
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
         if n_max > k.N:
             raise HorizonExceeded(f"degree {n_max} beyond kernel horizon {k.N}")
         n_theta = theta_horizon(pkg, k, n_theta)

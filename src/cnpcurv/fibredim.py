@@ -159,7 +159,10 @@ def fd_by_grading(
     rank_delta, and peak memory is about four times the 16 m^2 bytes of R;
     a request whose R would exceed MAX_FACTOR_BYTES raises
     SizeLimitExceeded before anything is allocated.
-    A zero defect rank leaves Ran M_theta = 0 and gives zeros."""
+    A zero defect rank leaves Ran M_theta = 0 and gives zeros; a negative
+    n_max raises ValueError."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if n_max > k.N:
         raise HorizonExceeded(f"n_max = {n_max} beyond kernel horizon {k.N}")
     r_tgt, r_src = series.rank_delta, series.rank_d

@@ -188,6 +188,13 @@ class DefectPackage:
     Ran Delta and Ran Dtilde.  tilde_index_set lists the blocks of the block
     row Ttilde (multi-indices alpha with 1 <= |alpha| <= n_op and
     b_{|alpha|} > 0, by degree then lexicographic).
+
+    The dimH side (S_N, Delta, W, rank_delta, the identity residual) and the
+    block row Ttilde are built with the package.  The tilde side (Dtilde, V,
+    rank_d and the intertwining residual) needs an eigendecomposition of the
+    tilde_dim x tilde_dim matrix I - Ttilde* Ttilde, so it is built on first
+    read, with the package's tolerances, and kept: the sigma walk, purity and
+    the degree profile never read it.
     """
 
     n_op: int
@@ -197,15 +204,12 @@ class DefectPackage:
     rank_delta: int
     w: np.ndarray
     t_tilde: np.ndarray
-    d_tilde: np.ndarray
-    rank_d: int
-    v: np.ndarray
     tail_bound: float
     delta_identity_residual: float   # || Delta^2 + Ttilde Ttilde* - I ||
-    intertwine_residual: float       # || Ttilde Dtilde - Delta Ttilde ||
     kernel_fingerprint: tuple
     dim_h: int
     nilpotent_degree: int | None
+    tol: Tolerances
 
     @property
     def tilde_dim(self) -> int:
@@ -213,6 +217,31 @@ class DefectPackage:
 
     def block_slice(self, k: int) -> slice:
         return slice(k * self.dim_h, (k + 1) * self.dim_h)
+
+    @cached_property
+    def _tilde_side(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(Dtilde, V, || Ttilde Dtilde - Delta Ttilde ||), built once."""
+        gram = self.t_tilde.conj().T @ self.t_tilde
+        d_tilde, tvals, tvecs = _psqrt(np.eye(gram.shape[0]) - gram, clamp_top=None)
+        v = _range_basis(tvals, tvecs, self.tol.eps_rank)
+        intertwine = op_norm(self.t_tilde @ d_tilde - self.delta @ self.t_tilde)
+        return d_tilde, v, intertwine
+
+    @property
+    def d_tilde(self) -> np.ndarray:
+        return self._tilde_side[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._tilde_side[1]
+
+    @property
+    def rank_d(self) -> int:
+        return self.v.shape[1]
+
+    @property
+    def intertwine_residual(self) -> float:
+        return self._tilde_side[2]
 
 
 def default_horizon(t: OperatorTuple) -> int | None:
@@ -253,8 +282,10 @@ def defect_package(
     n_op: int | None = None,
     tol: Tolerances = DEFAULT,
 ) -> DefectPackage:
-    """Build S_N, Delta, Ttilde, Dtilde and the range bases at horizon n_op.
+    """Build S_N, Delta, W and Ttilde at horizon n_op.
 
+    Dtilde, V, rank_d and the intertwining residual are not built here: the
+    package builds them, with tol, the first time one of them is read.
     Raises NotContraction when the truncated series has an eigenvalue above
     1 + eps_id (checked first on its degree-one terms, before any power of
     T is built, so huge norms cannot overflow), and TailUnbounded when the
@@ -306,13 +337,7 @@ def defect_package(
 
     delta, dvals, dvecs = _psqrt(np.eye(dim) - s_n, clamp_top=1.0)
     w = _range_basis(dvals, dvecs, tol.eps_rank)
-
-    gram = t_tilde.conj().T @ t_tilde
-    d_tilde, tvals, tvecs = _psqrt(np.eye(gram.shape[0]) - gram, clamp_top=None)
-    v = _range_basis(tvals, tvecs, tol.eps_rank)
-
     id_res = op_norm(delta @ delta + t_tilde @ t_tilde.conj().T - np.eye(dim))
-    intertwine = op_norm(t_tilde @ d_tilde - delta @ t_tilde)
 
     return DefectPackage(
         n_op=n_op,
@@ -322,15 +347,12 @@ def defect_package(
         rank_delta=w.shape[1],
         w=w,
         t_tilde=t_tilde,
-        d_tilde=d_tilde,
-        rank_d=v.shape[1],
-        v=v,
         tail_bound=tail,
         delta_identity_residual=id_res,
-        intertwine_residual=intertwine,
         kernel_fingerprint=k.fingerprint(),
         dim_h=dim,
         nilpotent_degree=nd,
+        tol=tol,
     )
 
 

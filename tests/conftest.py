@@ -7,11 +7,14 @@ conjugated by a random unitary and rescaled into the contraction regime.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import cnpcurv as cc
 from cnpcurv.comb import enumerate_up_to_degree
+from cnpcurv.tuples import op_norm
 
 
 def truncated_shift_ops(d: int, top_degree: int) -> list[np.ndarray]:
@@ -86,6 +89,34 @@ def random_nilpotent_tuple(rng: np.random.Generator, structure=None) -> cc.Opera
         scale = np.sqrt(0.8 / rho)
         ops = [scale * m for m in ops]
     return cc.load_tuple(ops)
+
+
+def random_commuting_tuple(rng, d: int, dim: int) -> cc.OperatorTuple:
+    """Polynomials of degree 2 in one random matrix: commuting, not
+    nilpotent, scaled to sum_i ||T_i||^2 = 0.7."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a /= op_norm(a)
+    ops = []
+    for _ in range(d):
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        ops.append(c[0] * np.eye(dim) + c[1] * a + c[2] * (a @ a))
+    rho = sum(op_norm(m) ** 2 for m in ops)
+    return cc.load_tuple([np.sqrt(0.7 / rho) * m for m in ops])
+
+
+def write_tuple(path, ops):
+    d = len(ops)
+    dim = ops[0].shape[0]
+    payload = {
+        "d": d,
+        "dimH": dim,
+        "operators": [
+            [[[float(e.real), float(e.imag)] for e in row] for row in op]
+            for op in np.asarray(ops, dtype=complex)
+        ],
+    }
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 @pytest.fixture

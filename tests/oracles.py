@@ -29,6 +29,11 @@ cnpcurv.curvature.DegreeProfile.build gets the same numbers from the
 traces u_m = tr sigma^m(Delta^2) and one scalar convolution, without the
 Taylor series.
 
+tilde_reference builds the tilde side (Dtilde, V, rank_d and the
+intertwining residual) from the package's Ttilde and Delta by the code
+cnpcurv.tuples.defect_package ran eagerly before the package built that
+side on first read; the lazy side must equal it bit for bit.
+
 The dense graded traces (mz_matrix, phi_apply, trace_E/P, trace_phi_E,
 dpsi_trace_partial, weighted_degree_trace, multiplier_gram,
 series_identity_check, factx_check, trace_table) compute the per-degree
@@ -51,6 +56,17 @@ from cnpcurv.fibredim import _numerical_ranks
 from cnpcurv.kernel import KernelSpec, weights
 from cnpcurv.traces import PolySpace as _LibPolySpace
 from cnpcurv.traces import multiplier_matrix
+from cnpcurv.tuples import _psqrt, _range_basis, op_norm
+
+
+def tilde_reference(pkg, tol: Tolerances = DEFAULT):
+    """(Dtilde, V, rank_d, || Ttilde Dtilde - Delta Ttilde ||), eagerly."""
+    t_tilde, delta = pkg.t_tilde, pkg.delta
+    gram = t_tilde.conj().T @ t_tilde
+    d_tilde, tvals, tvecs = _psqrt(np.eye(gram.shape[0]) - gram, clamp_top=None)
+    v = _range_basis(tvals, tvecs, tol.eps_rank)
+    intertwine = op_norm(t_tilde @ d_tilde - delta @ t_tilde)
+    return d_tilde, v, v.shape[1], intertwine
 
 
 def _z_power(z: np.ndarray, alpha) -> complex:

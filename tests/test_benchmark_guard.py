@@ -52,3 +52,12 @@ def test_size_recorders_accept_real_results():
         assert name in results, f"no sample result for the sized span {name}"
         size = sizer(results[name])
         assert isinstance(size, int) and size >= 0, (name, size)
+
+
+def test_defect_package_sizer_leaves_tilde_side_unbuilt():
+    # the traced span of defect_package must not pay for the tilde side
+    t = cc.load_tuple([jordan_block(3)])
+    pkg = cc.defect_package(t, cc.preset("dirichlet", d=1, N=10))
+    sizer = {f"{mod}.{fn}": s for mod, fn, s in _tracer().SPANNED}["cnpcurv.tuples.defect_package"]
+    assert sizer(pkg) == pkg.tilde_dim == 6
+    assert "_tilde_side" not in vars(pkg)

@@ -11,22 +11,7 @@ from cnpcurv.cli import EXIT_CODES, main
 from cnpcurv.formats import dumps_json17, load_tuple_json
 from cnpcurv.errors import ShapeError
 
-from conftest import jordan_block, truncated_shift_ops
-
-
-def write_tuple(path, ops):
-    d = len(ops)
-    dim = ops[0].shape[0]
-    payload = {
-        "d": d,
-        "dimH": dim,
-        "operators": [
-            [[[float(e.real), float(e.imag)] for e in row] for row in op]
-            for op in np.asarray(ops, dtype=complex)
-        ],
-    }
-    path.write_text(json.dumps(payload))
-    return str(path)
+from conftest import jordan_block, truncated_shift_ops, write_tuple
 
 
 @pytest.fixture
@@ -113,6 +98,16 @@ class TestKernelCommand:
         bad = tmp_path / "k.json"
         bad.write_text(json.dumps([1, 2, 1]))
         assert main(["kernel", "--kernel-file", str(bad)]) == 2
+
+    def test_horizon_is_exact(self, capsys):
+        assert main(["kernel", "--kernel", "dirichlet", "-N", "5"]) == 0
+        rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [n for table, n in rows if table == "a"] == [str(n) for n in range(6)]
+        assert [n for table, n in rows if table == "b"] == [str(n) for n in range(1, 6)]
+
+    def test_zero_horizon_exits_1(self, capsys):
+        assert main(["kernel", "--kernel", "dirichlet", "-N", "0"]) == 1
+        assert "preset horizon N must be >= 1" in capsys.readouterr().err
 
 
 class TestCurvatureCommand:
@@ -239,6 +234,13 @@ def test_nilpotency_found_once_per_request(argv, jordan3_file, monkeypatch, caps
     monkeypatch.setattr(tuples, "nilpotency_degree", lambda t: calls.append(t) or real(t))
     assert main([argv[0], "--input", jordan3_file, "--kernel", "szego", *argv[1:]]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command,max_n", [("traces", "-1"), ("curvature", "-1"), ("fd", "-2")])
+def test_negative_max_n_rejected(command, max_n, jordan3_file, capsys):
+    rc = main([command, "--input", jordan3_file, "--kernel", "szego", "--max-n", max_n])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: ValueError: n_max must be >= 0"
 
 
 class TestThetaCommand:

@@ -16,21 +16,8 @@ from cnpcurv.errors import (
 )
 from cnpcurv.tuples import default_horizon, op_norm
 
-from conftest import jordan_block, random_nilpotent_tuple, random_unitary
+from conftest import jordan_block, random_commuting_tuple, random_nilpotent_tuple, random_unitary
 from oracles import purity_reference
-
-
-def random_commuting_tuple(rng, d: int, dim: int) -> cc.OperatorTuple:
-    """Polynomials of degree 2 in one random matrix: commuting, not
-    nilpotent, scaled to sum_i ||T_i||^2 = 0.7."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a /= op_norm(a)
-    ops = []
-    for _ in range(d):
-        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        ops.append(c[0] * np.eye(dim) + c[1] * a + c[2] * (a @ a))
-    rho = sum(op_norm(m) ** 2 for m in ops)
-    return cc.load_tuple([np.sqrt(0.7 / rho) * m for m in ops])
 
 
 class TestLoadTuple:
