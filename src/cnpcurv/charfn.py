@@ -55,13 +55,35 @@ def _monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 def _point_bytes(pkg: DefectPackage, d: int) -> int:
-    """Bytes one point takes in _theta_map: its monomials and psi row, B(z)
-    and the system, the right-hand side and solution, and theta."""
+    """Bytes one point takes in _theta_map: its monomials and psi row, B(z),
+    the system and its inverse, the right-hand side and solution, and theta."""
     dim, rank_d = pkg.dim_h, pkg.rank_d
     n_blocks = len(pkg.tilde_index_set)
     return 16 * (
-        n_blocks * (d + 1) + 2 * dim * dim + 2 * dim * rank_d + 2 * pkg.rank_delta * rank_d
+        n_blocks * (d + 1) + 3 * dim * dim + 2 * dim * rank_d + 2 * pkg.rank_delta * rank_d
     )
+
+
+def _ill_conditioned(system: np.ndarray, gate: float) -> np.ndarray:
+    """np.linalg.cond(system) > gate for each matrix of a nonempty stack,
+    with an SVD only for the matrices a cheaper bound cannot clear.
+
+    One batched LU inverse gives kappa_F = ||A||_F ||A^-1||_F, which bounds
+    the 2-norm condition number kappa_2 from above.  A matrix with
+    kappa_F <= gate / 2 passes.  The factor 2 is a margin for rounding:
+    there kappa_2 <= 5e11 at the default gate, so the computed inverse and
+    the singular values behind np.linalg.cond each carry a relative error
+    of about kappa_2 * u <= 1e-4 (u the unit roundoff), and the exact test
+    would also have passed.  The margin covers that error for any gate up
+    to about 1e15.  Every other matrix takes the exact test: a singular one,
+    whose inverse is inf or NaN (hence the negated comparison), and one
+    whose bound is near or above the gate.
+    """
+    unsure = ~(np.linalg.cond(system, "fro") <= gate / 2)
+    out = np.zeros(len(system), dtype=bool)
+    if np.any(unsure):
+        out[unsure] = np.linalg.cond(system[unsure]) > gate
+    return out
 
 
 def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerances) -> np.ndarray:
@@ -77,11 +99,14 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
     stack to one value per point; each chunk is reduced before the next is
     built, so memory stays near _CHUNK_BYTES whatever the number of points.
 
-    Raises OutsideBall if any point has ||z|| >= 1 (before any evaluation)
-    and NearSingular if the resolvent system's 2-norm condition number
-    exceeds the gate at any point.
+    Raises OutsideBall if any point has a non-finite coordinate or
+    ||z|| >= 1 (before any evaluation) and NearSingular if the resolvent
+    system's 2-norm condition number exceeds the gate at any point.
     """
     points = np.asarray(points, dtype=complex)
+    finite = np.isfinite(points)
+    if not finite.all():
+        raise OutsideBall(f"z_i = {points[~finite][0]:.6g} is not finite")
     coords = np.abs(points).max(axis=1, initial=0.0)  # gate before squaring: no overflow
     if np.any(coords >= 1.0):
         raise OutsideBall(f"|z_i| = {coords[np.argmax(coords >= 1.0)]:.6g} is not < 1")
@@ -105,7 +130,7 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
         zc = points[start:start + chunk]
         psi = _monomials(zc, exps) * roots
         system = eye - (psi @ b_adj).reshape(len(zc), dim, dim)
-        if dim and np.any(np.linalg.cond(system) > tol.near_singular_cond):
+        if dim and np.any(_ill_conditioned(system, tol.near_singular_cond)):
             raise NearSingular(
                 "resolvent system is ill-conditioned at this point; reduce the "
                 "radius or raise the horizon"

@@ -120,10 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_threads(args) -> None:
+    """Pin the BLAS worker count; raises ValueError for a count below 1 or
+    a CNPCURV_THREADS that is not an integer."""
     threads = getattr(args, "threads", None)
     if threads is None:
         env = os.environ.get("CNPCURV_THREADS")
-        threads = int(env) if env else None
+        try:
+            threads = int(env) if env else None
+        except ValueError:
+            raise ValueError(f"CNPCURV_THREADS must be an integer, got {env!r}") from None
+    if threads is not None and threads < 1:
+        raise ValueError(f"the thread count must be >= 1, got {threads}")
     if getattr(args, "deterministic", False):
         threads = 1
     if threads is not None:
@@ -290,12 +297,13 @@ def cmd_theta(args) -> int:
     _, k, pkg = _setup(args)
     point = np.array([complex(part) for part in args.point.split(",")])
     pe = eval_theta(pkg, k, point)
+    # built before anything is printed, so a bad --taylor leaves no output
+    series = taylor(pkg, k, n_theta=args.taylor) if args.taylor is not None else None
     print("theta entries ([re, im] per column):")
     for row in pe.theta:
         print("  " + "  ".join(f"[{format_float17(e.real)}, {format_float17(e.imag)}]" for e in row))
     print("singular values: " + " ".join(format_float17(s) for s in pe.singular_values))
-    if args.taylor is not None:
-        series = taylor(pkg, k, n_theta=args.taylor)
+    if series is not None:
         coeffs = [
             {"gamma": list(key), "matrix": series.coeffs[key]}
             for key in sorted(series.coeffs, key=lambda key: (sum(key), key))
@@ -358,10 +366,10 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _configure_threads(args)
     from .errors import CnpcurvError
 
     try:
+        _configure_threads(args)
         return COMMANDS[args.command](args)
     except CnpcurvError as exc:
         name = type(exc).__name__

@@ -71,6 +71,8 @@ def fd_report(
     """Max numerical rank of theta(z) over sampled points (radii spread over
     [radius/2, radius] to guard degenerate sampling), with the share of
     samples attaining it."""
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must lie in (0, 1)")
     if n_samples < 20:
         raise ValueError("n_samples must be >= 20 (rank sampling needs spread)")
     rng = np.random.default_rng(seed)

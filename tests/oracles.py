@@ -29,6 +29,12 @@ cnpcurv.curvature.DegreeProfile.build gets the same numbers from the
 traces u_m = tr sigma^m(Delta^2) and one scalar convolution, without the
 Taylor series.
 
+dimh_integrand is the Monte-Carlo integrand rank_delta - ||theta(z)||_F^2
+from the dimH side alone, by the pointwise identity
+(1 - k_N(|z|^2)) ||(I - B_N(z))^{-*} Delta||_F^2 of ROADMAP item 1: it reads
+no Dtilde, V or range basis, and forms the small quantity directly where
+the library gets it by cancellation.
+
 tilde_reference builds the tilde side (Dtilde, V, rank_d and the
 intertwining residual) from the package's Ttilde and Delta by the code
 cnpcurv.tuples.defect_package ran eagerly before the package built that
@@ -101,6 +107,19 @@ def theta_reference(pkg, k, z) -> np.ndarray:
     b, z_row = resolvent_input(pkg, k, z)
     x = np.linalg.solve(np.eye(pkg.dim_h) - b, z_row @ pkg.d_tilde)
     return pkg.w.conj().T @ (-pkg.t_tilde + pkg.delta @ x) @ pkg.v
+
+
+def dimh_integrand(pkg, k, points) -> np.ndarray:
+    """(1 - k_N(|z|^2)) ||(I - B_N(z))^{-*} Delta||_F^2 at each point, one
+    point at a time, with k_N(x) = sum_{1 <= n <= n_op} b_n x^n."""
+    out = []
+    for z in np.asarray(points, dtype=complex):
+        b, _ = resolvent_input(pkg, k, z)
+        x = float(np.vdot(z, z).real)
+        k_n = sum(float(k.b[n]) * x**n for n in range(1, pkg.n_op + 1))
+        r = np.linalg.solve((np.eye(pkg.dim_h) - b).conj().T, pkg.delta)
+        out.append((1.0 - k_n) * float(np.sum(np.abs(r) ** 2)))
+    return np.array(out)
 
 
 def monomial_powers(t, max_degree: int) -> dict[tuple[int, ...], np.ndarray]:

@@ -51,6 +51,9 @@ class TestEvalTheta:
         with pytest.raises(OutsideBall) as exc:
             cc.eval_theta(pkg, k, [1e150])
         assert "1e+150" in str(exc.value) and len(str(exc.value)) < 200
+        for bad in (np.nan, complex(0.0, np.nan), -np.inf):
+            with pytest.raises(OutsideBall, match="is not finite"):
+                cc.eval_theta(pkg, k, [bad])
 
     def test_outside_ball_huge_coordinate_does_not_overflow(self):
         t = zero_tuple(1, 1)

@@ -273,11 +273,26 @@ class TestThetaCommand:
         gammas = [c["gamma"] for c in payload["coefficients"]]
         assert [3] in gammas
 
-    def test_outside_ball_exit(self, jordan3_file, capsys):
+    @pytest.mark.parametrize("point", ["1.2", "nan", "nanj", "inf"])
+    def test_outside_ball_exit(self, jordan3_file, capsys, point):
         rc = main(
-            ["theta", "--input", jordan3_file, "--kernel", "szego", "--point", "1.2"]
+            ["theta", "--input", jordan3_file, "--kernel", "szego", "--point", point]
         )
         assert rc == EXIT_CODES["OutsideBall"] == 8
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: OutsideBall: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kernel,taylor,name,rc",
+        [("szego", "-1", "ValueError", 1), ("dirichlet", "40", "HorizonExceeded", 10)],
+    )
+    def test_bad_taylor_degree_prints_nothing(self, jordan3_file, capsys, kernel, taylor, name, rc):
+        argv = ["theta", "--input", jordan3_file, "--kernel", kernel, "--point", "0.5"]
+        assert main([*argv, "--taylor", taylor]) == rc
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
 
     def test_wrong_coordinate_count_exit(self, jordan3_file, capsys):
         rc = main(
@@ -320,6 +335,12 @@ class TestFdCommand:
         assert payload["fd_eval"] == 1
         assert payload["label"] == "fd (GRS proxy)"
         assert payload["graded_dims"][-1] == pytest.approx(6 / 9)
+
+    @pytest.mark.parametrize("radius", ["0", "1", "-0.5", "nan"])
+    def test_radius_outside_unit_interval_rejected(self, jordan3_file, capsys, radius):
+        rc = main(["fd", "--input", jordan3_file, "--kernel", "szego", "--radius", radius])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValueError: radius must lie in (0, 1)\n"
 
     def test_grading_size_limit_exit_code(self, tmp_path, capsys):
         # d = 3, dimH 10: grading to degree 12 needs a 4550 x 4550 factor
@@ -396,6 +417,27 @@ class TestThreadPlumbing:
         import os
 
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    @pytest.mark.parametrize(
+        "flag,env,message",
+        [
+            ("0", None, "the thread count must be >= 1, got 0"),
+            ("-3", None, "the thread count must be >= 1, got -3"),
+            (None, "abc", "CNPCURV_THREADS must be an integer, got 'abc'"),
+            (None, "1.5", "CNPCURV_THREADS must be an integer, got '1.5'"),
+            (None, "0", "the thread count must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_thread_count_exits_1(self, monkeypatch, capsys, flag, env, message):
+        if env is None:
+            monkeypatch.delenv("CNPCURV_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CNPCURV_THREADS", env)
+        argv = ["identities", "--d-max", "1", "--n-max", "1"]
+        assert main(argv + (["--threads", flag] if flag else [])) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: ValueError: {message}\n"
 
 
 class TestDemoScripts:

@@ -10,6 +10,9 @@
   Taylor coefficients give (tests/oracles.py:profile_from_series), on
   nilpotent and non-nilpotent tuples in d = 1, 2, 3 over every preset and
   two custom kernels, at default and explicit horizons.
+* The Monte-Carlo integrand rank_delta - ||theta(z)||_F^2 the batched theta
+  map gives equals its dimH-side form (tests/oracles.py:dimh_integrand) on
+  the same tuples, at points of the ball up to radius 0.99.
 """
 from fractions import Fraction
 
@@ -18,10 +21,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cnpcurv as cc
+from cnpcurv.charfn import _theta_map, sample_ball_points
+from cnpcurv.config import DEFAULT
 from cnpcurv.curvature import DegreeProfile, ordering_rows
 
 from conftest import random_unitary, truncated_shift_ops
-from oracles import multiplier_gram, profile_from_series, trace_table
+from oracles import dimh_integrand, multiplier_gram, profile_from_series, trace_table
 
 KERNELS = {1: ("szego", "drury-arveson", "dirichlet"), 2: ("drury-arveson", "dirichlet")}
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -163,3 +168,17 @@ def test_sigma_route_past_kernel_horizon(name):
     got = DegreeProfile.build(t, pkg, k, 8, n_theta=16)
     ref = profile_from_series(cc.taylor(pkg, k, n_theta=16), k, 8)
     assert np.all(np.abs(got.c - ref.c) <= 1e-12 * np.maximum(1.0, np.abs(ref.c)))
+
+
+@SETTINGS
+@given(case=profile_cases(), seed=st.integers(0, 2**32 - 1))
+def test_dimh_integrand_matches_theta_map(case, seed):
+    t, k, n_op, _ = case
+    pkg = cc.defect_package(t, k, n_op=n_op)
+    rng = np.random.default_rng(seed)
+    points = sample_ball_points(t.d, 6, 1.0, seed) * (0.99 * rng.random(6))[:, None]
+    got = _theta_map(
+        pkg, k, points, lambda zc, th: pkg.rank_delta - np.sum(np.abs(th) ** 2, axis=(1, 2)), DEFAULT
+    )
+    ref = dimh_integrand(pkg, k, points)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (got, ref)

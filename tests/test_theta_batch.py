@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cnpcurv as cc
 from cnpcurv import charfn
@@ -14,7 +15,13 @@ from cnpcurv.errors import NearSingular, OutsideBall
 from cnpcurv.fibredim import fd_report
 from cnpcurv.tuples import op_norm
 
-from conftest import jordan_block, random_nilpotent_tuple, truncated_shift_ops
+from conftest import (
+    jordan_block,
+    random_nilpotent_tuple,
+    random_unitary,
+    truncated_shift_ops,
+    write_tuple,
+)
 from oracles import resolvent_input, theta_reference
 
 CHUNK = 5
@@ -173,13 +180,13 @@ class TestGatesOnBatches:
         pkg, k = build("da-d2-shift")
         small_chunks(pkg, k.d)
         calls = []
-        for bad_norm in (1.0, 1.2):
+        for bad in (1.0, 1.2, np.nan, complex(0.1, np.nan), np.inf):
             points = ball_points(k.d, 3 * CHUNK + 2, seed=1)
             points[-1] = 0.0
-            points[-1, 0] = bad_norm
+            points[-1, 0] = bad
             with pytest.raises(OutsideBall):
                 _theta_map(pkg, k, points, lambda zc, th: calls.append(len(zc)), DEFAULT)
-        # the norm gate runs before any chunk is evaluated
+        # the finiteness and norm gates run before any chunk is evaluated
         assert calls == []
 
     def test_near_singular_only_last_point(self, small_chunks):
@@ -209,6 +216,45 @@ class TestGatesOnBatches:
             else:
                 _theta_map(pkg, k, points, lambda zc, th: th[:, 0, 0], DEFAULT)
         assert outcomes == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        log_kappas=st.lists(st.floats(0.0, 16.0), min_size=1, max_size=6),
+        log_gate=st.sampled_from([4, 8, 12, 14]),
+        singular=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gate_decision_is_the_condition_number_test(
+        self, dim, log_kappas, log_gate, singular, seed
+    ):
+        # singular values spread from 1 down to 1/kappa, random magnitude
+        # and rotations; diag(1, ..., 1, 0) is exactly singular
+        rng = np.random.default_rng(seed)
+        stack = [
+            10.0 ** rng.uniform(-3, 3)
+            * random_unitary(rng, dim)
+            @ np.diag(np.geomspace(1.0, 10.0**-e, dim))
+            @ random_unitary(rng, dim)
+            for e in log_kappas
+        ]
+        if singular:
+            stack.insert(int(rng.integers(len(stack) + 1)), np.diag([1.0] * (dim - 1) + [0.0]))
+        stack = np.array(stack, dtype=complex)
+        gate = 10.0**log_gate
+        want = np.linalg.cond(stack) > gate
+        assert np.array_equal(charfn._ill_conditioned(stack, gate), want)
+
+    def test_default_curvature_run_takes_no_svd(self, tmp_path, monkeypatch, capsys):
+        # every point of the run clears the gate on the inverse-based bound
+        from cnpcurv.cli import main
+
+        orders = []
+        real = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda x, p=None: orders.append(p) or real(x, p))
+        f = write_tuple(tmp_path / "j4.json", [jordan_block(4)])
+        assert main(["curvature", "--input", f, "--kernel", "szego"]) == 0
+        assert orders and set(orders) == {"fro"}
 
     def test_curvature_integral_at_the_boundary(self, monkeypatch):
         # I - B(z) = diag(1 - z, 1) is near singular only close to z = 1,
