@@ -364,8 +364,20 @@ COMMANDS = {
 }
 
 
+def _glue_point(argv: list[str]) -> list[str]:
+    """Write `--point V` as `--point=V` when V starts with a single '-'
+    ("-0.3,0.4", "-inf"): argparse would take such a V for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--point" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_point(sys.argv[1:] if argv is None else argv))
     from .errors import CnpcurvError
 
     try:

@@ -134,6 +134,97 @@ def _merge(r: np.ndarray, rows: np.ndarray, block: int) -> None:
         rows = t[block:, block:]
 
 
+def _invert_upper(t: np.ndarray) -> None:
+    """Overwrite the invertible upper triangular t with its inverse, in
+    place: the halves first, then T12 <- -T11^-1 T12 T22^-1.  Blocks of at
+    most 64 rows go to np.linalg.inv, whose LU of a triangular matrix takes
+    no row swaps, so the result stays upper triangular."""
+    n = len(t)
+    if n <= 64:
+        t[...] = np.linalg.inv(t)
+        return
+    h = n // 2
+    _invert_upper(t[:h, :h])
+    _invert_upper(t[h:, h:])
+    t[:h, h:] = -(t[:h, :h] @ t[:h, h:]) @ t[h:, h:]
+
+
+def _squared_column_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each column, without a temporary of a's
+    size."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    return sum(np.einsum("ij,ij->j", p, p) for p in parts)
+
+
+def _leading_ranks(r: np.ndarray, sizes, eps_rank: float) -> np.ndarray:
+    """_numerical_ranks of each leading block R_n = r[:m_n, :m_n] of the
+    square upper triangular r (m_n in sizes), with an SVD only for the
+    blocks that bounds cannot decide.
+
+    Keep the columns S whose diagonal entry exceeds eps_rank times the
+    largest column norm, and let S_n be those before m_n, rho_n of them.
+    R[S, S] is upper triangular with a nonzero diagonal, R[S_n, S_n] is its
+    leading block, and every bound below is nested in n:
+
+    * Large side: sigma_rho(R_n) >= sigma_min(R[S_n, S_n]) >= 1 /
+      ||R[S_n, S_n]^-1||_F.  The leading block of a triangular inverse is
+      the inverse of the leading block, so one inverse of R[S, S] gives the
+      bound for every n through a cumulative sum of squared column norms.
+    * Small side: for a dropped column a_j, x_j = R[S_<j, S_<j]^-1
+      a_j[S_<j] comes from the same inverse.  Replacing each dropped column
+      of R_n by R[:, S_<j] x_j leaves a matrix of rank rho_n, so
+      sigma_{rho+1}(R_n) <= sqrt(sum over dropped j < m_n of
+      ||a_j - R[:, S_<j] x_j||^2), whatever the x_j.  That residual is a
+      difference of nearly equal vectors, so each term also carries the
+      rounding bound gamma (|a_j| + |R| |x_j|) of the product that forms it.
+    * sigma_1(R_n) lies between the largest column norm of R_n and its
+      Frobenius norm.
+
+    A block's rank is rho_n when the small side is at most eps_rank / 2
+    times the largest column norm and the large side at least 2 eps_rank
+    times the Frobenius norm: then sigma_{rho+1} is at most half the
+    threshold eps_rank sigma_1 and sigma_rho at least twice it.  The
+    factor 2 is a margin for rounding, as in the conditioning gate of
+    charfn: there the computed inverse is accurate to about kappa u <=
+    u / (2 eps_rank) relative (u the unit roundoff), and the singular
+    values an SVD computes carry an error far below eps_rank sigma_1, so
+    the SVD would have counted rho_n too.  Every other block, a zero one
+    included, takes the SVD; so does each block whose bounds overflow,
+    since NaN and inf pass no test."""
+    m = len(r)
+    # 2 (m + 2) u >= sqrt(2) gamma_{m+2}, which bounds the rounding of a
+    # complex product a - R x of inner length up to m (u the unit roundoff)
+    gamma = (m + 2) * np.finfo(float).eps
+    col2 = _squared_column_norms(r)
+    keep = np.abs(np.diagonal(r)) > eps_rank * np.sqrt(col2.max())
+    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+    with np.errstate(all="ignore"):
+        inv = r[np.ix_(kept, kept)]
+        _invert_upper(inv)
+        inv2 = np.cumsum(_squared_column_norms(inv))
+        x = np.zeros((m, len(dropped)), dtype=complex)
+        x[kept] = inv @ r[np.ix_(kept, dropped)]
+        del inv
+        res = r[:, dropped]
+        slack = gamma * (np.abs(res) + np.abs(r) @ np.abs(x))
+        res -= r @ x
+        bound = np.sqrt(_squared_column_norms(res)) + np.sqrt(_squared_column_norms(slack))
+        small2 = np.cumsum(bound**2)
+    fro2 = np.cumsum(col2)
+    colmax2 = np.maximum.accumulate(col2)
+
+    out = np.empty(len(sizes), dtype=int)
+    for i, size in enumerate(sizes):
+        rho, n_dropped = np.searchsorted(kept, size), np.searchsorted(dropped, size)
+        large_ok = rho == 0 or 4 * eps_rank**2 * fro2[size - 1] * inv2[rho - 1] <= 1
+        small_ok = n_dropped == 0 or 4 * small2[n_dropped - 1] <= eps_rank**2 * colmax2[size - 1]
+        if fro2[size - 1] > 0 and large_ok and small_ok:
+            out[i] = rho
+        else:
+            out[i] = _numerical_ranks(r[None, :size, :size], eps_rank)[0]
+    return out
+
+
 def fd_by_grading(
     series: CharacteristicSeries,
     k: KernelSpec,
@@ -158,9 +249,24 @@ def fd_by_grading(
     degree >= s, so each slab is folded into R on those trailing columns
     only, a block of columns at a time.  Slabs and blocks are sized so that
     a QR input holds about 2 m^2 / 3 entries at most, m = q_d(n_max)
-    rank_delta, and peak memory is about four times the 16 m^2 bytes of R;
-    a request whose R would exceed MAX_FACTOR_BYTES raises
-    SizeLimitExceeded before anything is allocated.
+    rank_delta.
+
+    Every degree's rank then comes from one shared certificate instead of
+    one SVD per degree (_leading_ranks).  The columns S of R whose diagonal
+    entry exceeds tol.eps_rank times the largest column norm give the
+    candidate rank rho_n of R[:m_n, :m_n]: those before m_n.  One inverse of
+    R[S, S] bounds that block's rho_n-th singular value from below and the
+    residuals of the other columns bound the next one from above, for
+    every n at once, since R is triangular.  A degree gets rho_n when both
+    bounds sit at least a factor 2 clear of the threshold, a margin for
+    rounding; every other degree, a zero block included, takes the SVD of
+    its leading block.  So every rank is the one that SVD gives.
+
+    Peak memory is about four times the 16 m^2 bytes of R, reached while R
+    is streamed.  The certificate stays below that: beside R it holds the
+    inverse of R[S, S] (no larger than R), then |R| (half of R), and the
+    columns outside S.  A request whose R would exceed
+    MAX_FACTOR_BYTES raises SizeLimitExceeded before anything is allocated.
     A zero defect rank leaves Ran M_theta = 0 and gives zeros; a negative
     n_max raises ValueError."""
     if n_max < 0:
@@ -175,11 +281,10 @@ def fd_by_grading(
             f"({16 * m * m / 2**20:.0f} MiB), over the limit of "
             f"{MAX_FACTOR_BYTES / 2**20:.0f} MiB"
         )
-    out = np.zeros(n_max + 1)
     # a zero defect rank leaves every coefficient empty, so no terms
     terms = [(np.array(key), a.conj().T) for key, a in series.coeffs.items() if np.any(a)]
     if not terms:
-        return out
+        return np.zeros(n_max + 1)
 
     levels = [enumerate_degree(k.d, s) for s in range(n_max + 1)]
     monomials = [alpha for level in levels for alpha in level]
@@ -213,10 +318,8 @@ def fd_by_grading(
                 buf[rows, (tgt * r_tgt - lo)[:, None, None] + tgt_block] = f[:, None, None] * ah
         _merge(r[lo:, lo:], buf, limits[low])
 
-    for n in range(n_max + 1):
-        size = starts[n + 1] * r_tgt
-        out[n] = _numerical_ranks(r[None, :size, :size], tol.eps_rank)[0] / q(k.d, n)
-    return out
+    # starts[n + 1] = q_d(n), the number of monomials of degree <= n
+    return _leading_ranks(r, starts[1:] * r_tgt, tol.eps_rank) / starts[1:]
 
 
 @dataclass(frozen=True)

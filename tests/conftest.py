@@ -7,6 +7,13 @@ conjugated by a random unitary and rescaled into the contraction regime.
 """
 from __future__ import annotations
 
+import os
+
+# one BLAS thread unless the caller chose otherwise: set before numpy loads,
+# so a busy neighbour process cannot slow the suite by oversubscription
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import json
 
 import numpy as np

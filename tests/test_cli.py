@@ -273,7 +273,15 @@ class TestThetaCommand:
         gammas = [c["gamma"] for c in payload["coefficients"]]
         assert [3] in gammas
 
-    @pytest.mark.parametrize("point", ["1.2", "nan", "nanj", "inf"])
+    def test_negative_first_coordinate(self, tmp_path, capsys):
+        f = write_tuple(tmp_path / "s.json", [0.4 * m for m in truncated_shift_ops(2, 2)])
+        argv = ["theta", "--input", f, "--kernel", "drury-arveson"]
+        assert main([*argv, "--point=-0.3,0.4"]) == 0
+        glued = capsys.readouterr().out
+        assert main([*argv, "--point", "-0.3,0.4"]) == 0
+        assert capsys.readouterr().out == glued != ""
+
+    @pytest.mark.parametrize("point", ["1.2", "nan", "nanj", "inf", "-inf"])
     def test_outside_ball_exit(self, jordan3_file, capsys, point):
         rc = main(
             ["theta", "--input", jordan3_file, "--kernel", "szego", "--point", point]

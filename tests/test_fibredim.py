@@ -10,7 +10,15 @@ from cnpcurv.charfn import CharacteristicSeries
 from cnpcurv.comb import enumerate_up_to_degree, q
 from cnpcurv.curvature import DegreeProfile, ordering_rows
 from cnpcurv.errors import NotPure, SizeLimitExceeded
-from cnpcurv.fibredim import MAX_FACTOR_BYTES, fd_by_grading, fd_report, innermult_consistency
+from cnpcurv.config import DEFAULT
+from cnpcurv.fibredim import (
+    MAX_FACTOR_BYTES,
+    _leading_ranks,
+    _numerical_ranks,
+    fd_by_grading,
+    fd_report,
+    innermult_consistency,
+)
 from cnpcurv.pipeline import RunSettings, run_curvature
 
 from conftest import (
@@ -208,6 +216,103 @@ class TestGradedRoute:
         pkg, series = build(t, k)
         # A_0 vanishes for this tuple, so the degree-0 quotient is 0
         assert fd_by_grading(series, k, 0)[0] == 0.0
+
+
+# multiples of eps_rank sigma_1 planted as singular values or residuals: two
+# on each side of the threshold, and the threshold itself, where rounding
+# decides what an SVD counts
+_PLANTS = (0.3, 0.7, 1.0, 1.5, 3.0)
+
+
+def _planted_factor(rng, m, mode):
+    """An m x m upper triangular factor with singular values, or dropped
+    columns' residuals, at _PLANTS multiples of eps_rank sigma_1.
+
+    spectrum: R of U diag(s) V*, with one to m//2 singular values of order
+    one and a few planted ones.  columns: each column is a random one with
+    an O(1) diagonal, a combination of the earlier columns plus a planted
+    diagonal entry, or a random one with a zero diagonal, which may still be
+    independent of the earlier ones ([[1, 1, 0], [0, 0, 1], [0, 0, 0]])."""
+    eps = DEFAULT.eps_rank
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    plant = lambda: rng.choice(_PLANTS) * eps
+    if mode == "spectrum":
+        big = int(rng.integers(1, m // 2 + 2))
+        s = np.zeros(m)
+        s[:big] = np.sort(rng.uniform(0.05, 1.0, big))[::-1]
+        s[0] = 1.0
+        planted = rng.choice(np.arange(big, m), size=min(3, m - big), replace=False)
+        s[planted] = [plant() for _ in planted]
+        u, v = random_unitary(rng, m), random_unitary(rng, m)
+        return np.linalg.qr((u * s) @ v, mode="r")
+    r = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        kind = rng.choice(["free", "dependent", "hidden"], p=[0.5, 0.3, 0.2])
+        if kind == "free" or j == 0:
+            r[: j + 1, j] = cplx(j + 1)
+        elif kind == "dependent":
+            r[:j, j] = r[:j, :j] @ cplx(j)
+            r[j, j] = plant() * np.max(np.abs(r[:j, :j]))
+        else:
+            r[:j, j] = cplx(j)
+    return r
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """One entry per np.linalg.svd call from here on."""
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+class TestLeadingRanks:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), r_tgt=st.integers(1, 3),
+           n_max=st.integers(0, 7), mode=st.sampled_from(["spectrum", "columns"]))
+    def test_matches_an_svd_of_every_leading_block(self, seed, d, r_tgt, n_max, mode):
+        rng = np.random.default_rng(seed)
+        while q(d, n_max) * r_tgt > 150:
+            n_max -= 1
+        sizes = [q(d, n) * r_tgt for n in range(n_max + 1)]
+        r = _planted_factor(rng, sizes[-1], mode)
+        expected = [_numerical_ranks(r[None, :size, :size], DEFAULT.eps_rank)[0] for size in sizes]
+        assert np.array_equal(_leading_ranks(r, sizes, DEFAULT.eps_rank), expected)
+
+    def test_hidden_rank_takes_the_svd(self, svd_calls):
+        # the last two diagonal entries vanish, yet the third column is
+        # independent of the first two: the bounds decide the first two
+        # blocks, and the candidate rank 1 of the whole is not returned
+        r = np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+        assert list(_leading_ranks(r, [1, 2, 3], DEFAULT.eps_rank)) == [1, 1, 2]
+        assert len(svd_calls) == 1
+
+    def test_default_grading_takes_no_svd(self, svd_calls):
+        # every degree of a 0.4-scaled d = 2 shift is decided by the bounds
+        k = cc.preset("drury-arveson", d=2, N=14)
+        t = cc.load_tuple([0.4 * m for m in truncated_shift_ops(2, 3)])
+        pkg, series = build(t, k)
+        expected = fd_by_grading_reference(series, k, 12)
+        svd_calls.clear()
+        assert np.array_equal(fd_by_grading(series, k, 12), expected)
+        assert svd_calls == []
+
+    def test_peak_memory_with_the_inverse(self):
+        # the largest d = 2 graded-fd request: R is 660 x 660, and the
+        # certificate holds a copy of R[S, S] beside it
+        k = cc.preset("drury-arveson", d=2, N=12)
+        t = cc.load_tuple([0.4 * m for m in truncated_shift_ops(2, 4)])
+        pkg, series = build(t, k)
+        m = q(2, 10) * series.rank_delta
+        assert m == 660
+        tracemalloc.start()
+        try:
+            fd_by_grading(series, k, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 16 * m * m
 
 
 class TestInnermult:
