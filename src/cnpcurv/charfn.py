@@ -6,9 +6,10 @@ alpha-block sqrt(b_alpha) z^alpha I.  Compressing by the range bases W and V
 loses nothing: theta maps Ran Dtilde into Ran Delta, and the compression
 makes trace(A_gamma A_gamma*) basis independent.
 
-Taylor coefficients are extracted by graded convolution of the operator
-power series G = Z + B G (never by numerical differentiation), which is
-exact for jointly nilpotent tuples.
+Point values and Taylor coefficients read the pieces of this one
+realization from _realization.  The coefficients come from a graded
+recursion on dimH x rank_d matrices (see taylor), never from numerical
+differentiation, and are exact for jointly nilpotent tuples.
 """
 from __future__ import annotations
 
@@ -57,8 +58,7 @@ def _monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
 def _point_bytes(pkg: DefectPackage, d: int) -> int:
     """Bytes one point takes in _theta_map: its monomials and psi row, B(z),
     the system and its inverse, the right-hand side and solution, and theta."""
-    dim, rank_d = pkg.dim_h, pkg.rank_d
-    n_blocks = len(pkg.tilde_index_set)
+    dim, rank_d, n_blocks = pkg.dim_h, pkg.rank_d, len(pkg.tilde_index_set)
     return 16 * (
         n_blocks * (d + 1) + 3 * dim * dim + 2 * dim * rank_d + 2 * pkg.rank_delta * rank_d
     )
@@ -84,6 +84,21 @@ def _ill_conditioned(system: np.ndarray, gate: float) -> np.ndarray:
     if np.any(unsure):
         out[unsure] = np.linalg.cond(system[unsure]) > gate
     return out
+
+
+def _realization(pkg: DefectPackage, k: KernelSpec) -> tuple:
+    """The pieces of theta(z) = A_0 + W* Delta (I - B(z))^{-1} Z(z) Dtilde V:
+    (block exponents alpha, n_blocks x d; sqrt(b_alpha); the block adjoints
+    Ttilde_alpha*, n_blocks x dimH x dimH; the row blocks (Dtilde V)_alpha,
+    n_blocks x dimH x rank_d; A_0 = -W* Ttilde V; W* Delta)."""
+    dim, n_blocks = pkg.dim_h, len(pkg.tilde_index_set)
+    exps = np.array([a.entries for a in pkg.tilde_index_set], dtype=int).reshape(n_blocks, k.d)
+    roots = np.sqrt([k.b_of(a) for a in pkg.tilde_index_set])
+    # t_tilde[i, alpha * dim + j] is entry (i, j) of the alpha-block
+    adj = pkg.t_tilde.reshape(dim, n_blocks, dim).conj().transpose(1, 2, 0)
+    dv = (pkg.d_tilde @ pkg.v).reshape(n_blocks, dim, pkg.rank_d)
+    const = -pkg.w.conj().T @ pkg.t_tilde @ pkg.v
+    return exps, roots, adj, dv, const, pkg.w.conj().T @ pkg.delta
 
 
 def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerances) -> np.ndarray:
@@ -113,15 +128,9 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
     norms = np.linalg.norm(points, axis=1)
     if np.any(norms >= 1.0):
         raise OutsideBall(f"||z|| = {norms[np.argmax(norms >= 1.0)]:.6g} is not < 1")
-    dim, n_blocks, rank_d = pkg.dim_h, len(pkg.tilde_index_set), pkg.rank_d
-    exps = np.array([a.entries for a in pkg.tilde_index_set], dtype=int).reshape(n_blocks, k.d)
-    roots = np.sqrt([k.b_of(a) for a in pkg.tilde_index_set])
-    # t_tilde[i, alpha * dim + j] is entry (i, j) of the alpha-block
-    blocks = pkg.t_tilde.reshape(dim, n_blocks, dim)
-    b_adj = blocks.conj().transpose(1, 2, 0).reshape(n_blocks, dim * dim)
-    dv = (pkg.d_tilde @ pkg.v).reshape(n_blocks, dim * rank_d)
-    const = -pkg.w.conj().T @ pkg.t_tilde @ pkg.v
-    left = pkg.w.conj().T @ pkg.delta
+    exps, roots, adj, dv, const, left = _realization(pkg, k)
+    dim, n_blocks, rank_d = pkg.dim_h, len(roots), pkg.rank_d
+    b_adj, dv = adj.reshape(n_blocks, dim * dim), dv.reshape(n_blocks, dim * rank_d)
     eye = np.eye(dim)
 
     chunk = max(1, _CHUNK_BYTES // _point_bytes(pkg, k.d))
@@ -195,44 +204,30 @@ def taylor(
     n_theta: int | None = None,
     tol: Tolerances = DEFAULT,
 ) -> CharacteristicSeries:
-    """Extract A_gamma for |gamma| <= n_theta (theta_horizon) by graded
-    convolution.
+    """Extract A_gamma for |gamma| <= n_theta (theta_horizon) from the
+    realization the point values use.
 
-    A_0 = -W* Ttilde V; for |gamma| >= 1, A_gamma = W* Delta G_gamma Dtilde V
-    where G solves G = Z + B G degree by degree.
+    A_0 = -W* Ttilde V and A_gamma = W* Delta H_gamma, where H_gamma =
+    G_gamma Dtilde V are the dimH x rank_d coefficients of (I - B(z))^{-1}
+    Z(z) Dtilde V, built degree by degree as
+    H_gamma = sqrt(b_gamma) (Dtilde V)_gamma (when gamma is a block)
+    + sum over blocks 0 < beta < gamma of sqrt(b_beta) Ttilde_beta* H_{gamma-beta}.
     """
     n_theta = theta_horizon(pkg, k, n_theta)
-    dim, tdim = pkg.dim_h, pkg.tilde_dim
-    # read first: the package may build Dtilde and V now, and the selection
-    # matrices below together take as much memory as its tilde_dim Gram
-    left = pkg.w.conj().T @ pkg.delta
-    right = pkg.d_tilde @ pkg.v
-
-    b_coeff: dict[tuple[int, ...], np.ndarray] = {}
-    z_coeff: dict[tuple[int, ...], np.ndarray] = {}
-    for idx, alpha in enumerate(pkg.tilde_index_set):
-        root = np.sqrt(k.b_of(alpha))
-        block = pkg.t_tilde[:, pkg.block_slice(idx)]
-        b_coeff[alpha.entries] = root * block.conj().T
-        sel = np.zeros((dim, tdim), dtype=complex)
-        sel[:, pkg.block_slice(idx)] = root * np.eye(dim)
-        z_coeff[alpha.entries] = sel
-
-    coeffs: dict[tuple[int, ...], np.ndarray] = {}
-    coeffs[(0,) * k.d] = -pkg.w.conj().T @ pkg.t_tilde @ pkg.v
-
-    g: dict[tuple[int, ...], np.ndarray] = {}
+    exps, roots, adj, dv, const, left = _realization(pkg, k)
+    block_of = {tuple(e): i for i, e in enumerate(exps.tolist())}
+    steps = roots[:, None, None] * adj
+    coeffs: dict[tuple[int, ...], np.ndarray] = {(0,) * k.d: const}
+    h: dict[tuple[int, ...], np.ndarray] = {}
     for n in range(1, n_theta + 1):
         for gamma in enumerate_degree(k.d, n):
-            acc = z_coeff.get(gamma.entries)
-            acc = acc.copy() if acc is not None else np.zeros((dim, tdim), dtype=complex)
-            for beta_key, b_mat in b_coeff.items():
-                rest = tuple(ge - be for ge, be in zip(gamma.entries, beta_key))
-                if any(e < 0 for e in rest) or sum(rest) == 0:
-                    continue
-                acc += b_mat @ g[rest]
-            g[gamma.entries] = acc
-            coeffs[gamma.entries] = left @ acc @ right
+            i = block_of.get(gamma.entries)
+            acc = roots[i] * dv[i] if i is not None else np.zeros(dv.shape[1:], complex)
+            rest = np.array(gamma.entries) - exps
+            for j in np.flatnonzero((rest >= 0).all(axis=1) & (rest.sum(axis=1) > 0)):
+                acc += steps[j] @ h[tuple(rest[j].tolist())]
+            h[gamma.entries] = acc
+            coeffs[gamma.entries] = left @ acc
 
     is_poly, degree = _polynomial_state(pkg, k, coeffs, n_theta, tol)
     return CharacteristicSeries(

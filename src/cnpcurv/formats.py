@@ -77,9 +77,7 @@ def load_kernel_file(path, d: int) -> KernelSpec:
         raise ValueError("kernel file must hold a non-empty JSON array")
     coeffs = []
     for x in data:
-        if isinstance(x, str):
-            coeffs.append(Fraction(x))
-        elif isinstance(x, int):
+        if isinstance(x, (str, int)) and not isinstance(x, bool):
             coeffs.append(Fraction(x))
         elif isinstance(x, float):
             coeffs.append(x)

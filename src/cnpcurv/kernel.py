@@ -35,12 +35,15 @@ def bn_from_an(a_table, eps_cnp: float = DEFAULT.eps_cnp):
     i.e. the coefficient-level inversion of 1 - 1/s in the variable <z, w>.
 
     Accepts exact (int/Fraction) or float tables and keeps the arithmetic
-    exact when the input is exact.  Raises CNPViolation if any b_n drops
-    below -eps_cnp (exact inputs: below 0).
+    exact when the input is exact.  Raises ValueError for a boolean or
+    non-finite entry and CNPViolation if any b_n drops below -eps_cnp
+    (exact inputs: below 0).
     """
     a = list(a_table)
     if len(a) < 1:
         raise ValueError("need at least a_0")
+    if any(isinstance(x, (bool, np.bool_)) or not (_is_exact_scalar(x) or np.isfinite(x)) for x in a):
+        raise ValueError("kernel coefficients must be finite numbers, not booleans")
     exact = all(_is_exact_scalar(x) for x in a)
     if exact:
         a = [Fraction(x) for x in a]

@@ -24,7 +24,7 @@ __all__ = ["RunSettings", "PipelineResult", "run_curvature"]
 
 @dataclass(frozen=True)
 class RunSettings:
-    n_op: int | None = None       # defect series horizon (None: nilpotency default)
+    n_op: int | None = None       # defect series horizon (None: nilpotency default, >= b-support)
     n_theta: int | None = None    # profile and Taylor horizon (None: termination degree or n_op)
     n_max: int = 12               # weighted/ordering table depth
     radius: float = 0.999

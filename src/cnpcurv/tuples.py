@@ -282,7 +282,9 @@ def defect_package(
     n_op: int | None = None,
     tol: Tolerances = DEFAULT,
 ) -> DefectPackage:
-    """Build S_N, Delta, W and Ttilde at horizon n_op.
+    """Build S_N, Delta, W and Ttilde at horizon n_op (default:
+    default_horizon(t), raised to the kernel's b-support bound if it has one,
+    so that theta_horizon's default needs no block beyond it).
 
     Dtilde, V, rank_d and the intertwining residual are not built here: the
     package builds them, with tol, the first time one of them is read.
@@ -298,6 +300,7 @@ def defect_package(
             raise ValueError(
                 "tuple is not jointly nilpotent: an explicit horizon n_op is required"
             )
+        n_op = max(n_op, k.b_support_bound or 0)
     if n_op < 1:
         raise ValueError("n_op must be >= 1")
     if n_op > k.N:

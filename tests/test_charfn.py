@@ -1,5 +1,6 @@
 """Characteristic function: evaluation, Taylor extraction, consistency."""
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ class TestTaylor:
     def test_finite_support_kernel_goes_past_n_op(self):
         t = cc.load_tuple([jordan_block(4)])
         k = cc.preset("szego", d=1, N=10)
-        pkg = cc.defect_package(t, k)  # n_op = 3
+        pkg = cc.defect_package(t, k)
+        assert pkg.n_op == 3  # the nilpotency default: the preset's b-support is 1
         series = cc.taylor(pkg, k, n_theta=6)
         assert series.degree == 4
 
@@ -213,3 +215,33 @@ class TestNonNilpotentCommutingPair:
         for z in sample_ball_points(2, 50, 0.95, seed=12):
             pe = cc.eval_theta(pkg, k, z)
             assert pe.norm <= 1.0 + 1e-10
+
+
+class TestFiniteSupportDefaultHorizon:
+    """b = (1/2, 1/2, 0, ...): the default package horizon reaches the
+    b-support, so the default Taylor horizon nd - 1 + 2 needs no block the
+    package lacks."""
+
+    @staticmethod
+    def kernel() -> cc.KernelSpec:
+        a = [1, Fraction(1, 2), Fraction(3, 4), Fraction(5, 8), Fraction(11, 16)]
+        return cc.from_coefficients(a, d=1, b_support_bound=2)
+
+    def test_zero_tuple_taylor(self):
+        k = self.kernel()
+        pkg = cc.defect_package(zero_tuple(1, 1), k)
+        assert pkg.n_op == 2
+        series = cc.taylor(pkg, k)
+        # theta(z) = [sqrt(b_1) z, sqrt(b_2) z^2] up to the basis V
+        assert series.is_polynomial and series.degree == 2
+        for n in (1, 2):
+            assert np.linalg.norm(series.coeffs[(n,)]) ** 2 == pytest.approx(0.5, abs=1e-14)
+
+    def test_jordan2_run_matches_explicit_horizons(self):
+        k, t = self.kernel(), cc.load_tuple([jordan_block(2)])
+        reports = [
+            cc.run_curvature(t, k, cc.RunSettings(n_op=n_op, n_max=4)).report
+            for n_op in (None, 2, 3)
+        ]
+        for r in reports:
+            assert (r.k_series, r.k_pure, r.fd_eval) == (0.0, 0, 2)

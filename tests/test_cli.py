@@ -99,6 +99,25 @@ class TestKernelCommand:
         bad.write_text(json.dumps([1, 2, 1]))
         assert main(["kernel", "--kernel-file", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, command",
+        [
+            ("[1, NaN, 0.2]", "kernel"),
+            ("[1, Infinity]", "kernel"),
+            ("[1, true, 1]", "kernel"),
+            ("[1, NaN, 0.2]", "curvature"),
+        ],
+    )
+    def test_non_finite_or_boolean_coefficient_exits_1(self, tmp_path, capsys, text, command):
+        path = tmp_path / "k.json"
+        path.write_text(text)
+        argv = [command, "--kernel-file", str(path)]
+        if command == "curvature":
+            argv += ["--input", write_tuple(tmp_path / "t.json", [np.zeros((1, 1))])]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ValueError")
+
     def test_horizon_is_exact(self, capsys):
         assert main(["kernel", "--kernel", "dirichlet", "-N", "5"]) == 0
         rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]

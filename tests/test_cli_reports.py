@@ -12,10 +12,13 @@ variables, scaled by 0.4, over drury-arveson; a fixed non-nilpotent 3 x 3
 operator over dirichlet at horizon 20.  Commands: `curvature` (json and
 csv), `traces`, `fd` and `theta --taylor`.
 
-Re-record only for an intended change of the printed numbers, and say
-which numbers changed and why:
+Re-record only for an intended change of the printed numbers, only the
+cases it moves, and say which numbers changed and why:
 
-    PYTHONPATH=src python tests/test_cli_reports.py --record
+    PYTHONPATH=src python tests/test_cli_reports.py --record [CASE ...]
+
+With no CASE every case is re-recorded.  Each number that differs from the
+recording is printed with its case and index.
 """
 from __future__ import annotations
 
@@ -142,12 +145,22 @@ def test_compare_rules():
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--record"]:
+    names = sys.argv[2:] or CASES
+    if sys.argv[1:2] != ["--record"] or not set(names) <= set(CASES):
         raise SystemExit(__doc__)
+    data = json.loads(RECORD_PATH.read_text()) if RECORD_PATH.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        data = {}
-        for case in CASES:
+        for case in names:
             code, stdout = run_case(case, Path(tmp))
+            if case in data:
+                (new_text, new_nums), (old_text, old_nums) = map(
+                    _split, (stdout, data[case]["stdout"])
+                )
+                if new_text != old_text:
+                    print(f"{case}: text changed")
+                for i, (new, old) in enumerate(zip(new_nums, old_nums)):
+                    if new != old:
+                        print(f"{case} number {i}: recorded {old}, new {new}")
             data[case] = {"exit": code, "stdout": stdout}
     RECORD_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(data)} cases in {RECORD_PATH}")
+    print(f"recorded {len(names)} of {len(data)} cases in {RECORD_PATH}")

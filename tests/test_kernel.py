@@ -67,6 +67,11 @@ class TestBnRecurrence:
         with pytest.raises(ValueError):
             bn_from_an([2, 1])
 
+    @pytest.mark.parametrize("table", [[1, float("nan"), 0.2], [1, float("inf")], [1, True, 1]])
+    def test_non_finite_or_boolean_rejected(self, table):
+        with pytest.raises(ValueError, match="finite numbers, not booleans"):
+            bn_from_an(table)
+
     def test_float_tables_near_exact(self):
         k = preset("dirichlet", d=1, N=100)
         conv = [

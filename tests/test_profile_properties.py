@@ -13,6 +13,10 @@
 * The Monte-Carlo integrand rank_delta - ||theta(z)||_F^2 the batched theta
   map gives equals its dimH-side form (tests/oracles.py:dimh_integrand) on
   the same tuples, at points of the ball up to radius 0.99.
+* Where the Taylor series terminates (nilpotent tuples over szego and
+  drury-arveson), its sum equals the per-point oracle
+  (tests/oracles.py:theta_reference), which solves against the full block
+  row Z(z) and shares no code with the realization taylor reads.
 """
 from fractions import Fraction
 
@@ -26,7 +30,13 @@ from cnpcurv.config import DEFAULT
 from cnpcurv.curvature import DegreeProfile, ordering_rows
 
 from conftest import random_unitary, truncated_shift_ops
-from oracles import dimh_integrand, multiplier_gram, profile_from_series, trace_table
+from oracles import (
+    dimh_integrand,
+    multiplier_gram,
+    profile_from_series,
+    theta_reference,
+    trace_table,
+)
 
 KERNELS = {1: ("szego", "drury-arveson", "dirichlet"), 2: ("drury-arveson", "dirichlet")}
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -93,6 +103,22 @@ def test_direct_sum_adds_degree_profiles(first, second_seed, second_size):
         pkg = cc.defect_package(t, k, n_op=horizon)
         c.append(DegreeProfile.build(t, pkg, k, n_theta=horizon).c)
     assert np.allclose(c[2], c[0] + c[1], rtol=1e-10, atol=1e-10)
+
+
+@SETTINGS
+@given(case=cases(), radius=st.floats(0.0, 0.5))
+def test_terminating_series_sums_to_theta(case, radius):
+    d, name, seed, size = case
+    assume(name != "dirichlet")  # finite b-support: the series terminates
+    k = cc.preset(name, d=d, N=12)
+    t = cc.load_tuple(_nilpotent_ops(np.random.default_rng(seed), d, size))
+    pkg = cc.defect_package(t, k)
+    series = cc.taylor(pkg, k)
+    assert series.is_polynomial
+    points = sample_ball_points(d, 5, radius, seed % 2**31)
+    got = series.evaluate(points)
+    for z, theta in zip(points, got, strict=True):
+        assert np.abs(theta - theta_reference(pkg, k, z)).max(initial=0.0) <= 1e-12
 
 
 def _kernel(name: str, d: int, N: int) -> cc.KernelSpec:
