@@ -11,7 +11,7 @@ Layers, bottom up:
 * curvature the degree profile (from the sigma traces of the purity walk)
             and the invariant by series / weighted / integral routes
 * fibredim  fibre dimension by evaluation rank and graded dimensions
-* pipeline  one-call orchestration producing a full report
+* pipeline  one run: each stage built on first read, up to the full report
 * cli       the `cnpcurv` command
 """
 from . import comb, kernel, tuples, charfn, traces, curvature, fibredim

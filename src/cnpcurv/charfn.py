@@ -7,9 +7,11 @@ loses nothing: theta maps Ran Dtilde into Ran Delta, and the compression
 makes trace(A_gamma A_gamma*) basis independent.
 
 Point values and Taylor coefficients read the pieces of this one
-realization from _realization.  The coefficients come from a graded
-recursion on dimH x rank_d matrices (see taylor), never from numerical
-differentiation, and are exact for jointly nilpotent tuples.
+realization from the package (DefectPackage.realization, built once per
+package).  The coefficients come from a graded recursion on dimH x rank_d
+matrices (see taylor), never from numerical differentiation, and are exact
+for jointly nilpotent tuples.  Every gate is the package's own: nothing here
+takes a tolerance, and a series records the package's tolerances.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comb import enumerate_degree
-from .config import DEFAULT, Tolerances
+from .config import Tolerances
 from .errors import HorizonExceeded, NearSingular, OutsideBall
 from .kernel import KernelSpec
 from .tuples import DefectPackage, op_norm
@@ -86,22 +88,7 @@ def _ill_conditioned(system: np.ndarray, gate: float) -> np.ndarray:
     return out
 
 
-def _realization(pkg: DefectPackage, k: KernelSpec) -> tuple:
-    """The pieces of theta(z) = A_0 + W* Delta (I - B(z))^{-1} Z(z) Dtilde V:
-    (block exponents alpha, n_blocks x d; sqrt(b_alpha); the block adjoints
-    Ttilde_alpha*, n_blocks x dimH x dimH; the row blocks (Dtilde V)_alpha,
-    n_blocks x dimH x rank_d; A_0 = -W* Ttilde V; W* Delta)."""
-    dim, n_blocks = pkg.dim_h, len(pkg.tilde_index_set)
-    exps = np.array([a.entries for a in pkg.tilde_index_set], dtype=int).reshape(n_blocks, k.d)
-    roots = np.sqrt([k.b_of(a) for a in pkg.tilde_index_set])
-    # t_tilde[i, alpha * dim + j] is entry (i, j) of the alpha-block
-    adj = pkg.t_tilde.reshape(dim, n_blocks, dim).conj().transpose(1, 2, 0)
-    dv = (pkg.d_tilde @ pkg.v).reshape(n_blocks, dim, pkg.rank_d)
-    const = -pkg.w.conj().T @ pkg.t_tilde @ pkg.v
-    return exps, roots, adj, dv, const, pkg.w.conj().T @ pkg.delta
-
-
-def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerances) -> np.ndarray:
+def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce) -> np.ndarray:
     """reduce(z, theta) over the points, one memory-bounded chunk at a time.
 
     For a chunk of p points, psi_alpha(z) = sqrt(b_alpha) z^alpha is formed
@@ -116,7 +103,7 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
 
     Raises OutsideBall if any point has a non-finite coordinate or
     ||z|| >= 1 (before any evaluation) and NearSingular if the resolvent
-    system's 2-norm condition number exceeds the gate at any point.
+    system's 2-norm condition number exceeds the package's gate at any point.
     """
     points = np.asarray(points, dtype=complex)
     finite = np.isfinite(points)
@@ -128,7 +115,7 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
     norms = np.linalg.norm(points, axis=1)
     if np.any(norms >= 1.0):
         raise OutsideBall(f"||z|| = {norms[np.argmax(norms >= 1.0)]:.6g} is not < 1")
-    exps, roots, adj, dv, const, left = _realization(pkg, k)
+    exps, roots, adj, dv, const, left = pkg.realization
     dim, n_blocks, rank_d = pkg.dim_h, len(roots), pkg.rank_d
     b_adj, dv = adj.reshape(n_blocks, dim * dim), dv.reshape(n_blocks, dim * rank_d)
     eye = np.eye(dim)
@@ -139,7 +126,7 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
         zc = points[start:start + chunk]
         psi = _monomials(zc, exps) * roots
         system = eye - (psi @ b_adj).reshape(len(zc), dim, dim)
-        if dim and np.any(_ill_conditioned(system, tol.near_singular_cond)):
+        if dim and np.any(_ill_conditioned(system, pkg.tol.near_singular_cond)):
             raise NearSingular(
                 "resolvent system is ill-conditioned at this point; reduce the "
                 "radius or raise the horizon"
@@ -149,25 +136,21 @@ def _theta_map(pkg: DefectPackage, k: KernelSpec, points, reduce, tol: Tolerance
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def eval_theta(
-    pkg: DefectPackage,
-    k: KernelSpec,
-    z,
-    tol: Tolerances = DEFAULT,
-) -> PointEvaluation:
+def eval_theta(pkg: DefectPackage, k: KernelSpec, z) -> PointEvaluation:
     """Evaluate theta at a point of the open unit ball.
 
     Solves (I - B(z)) X = Z(z) Dtilde V directly; invertibility inside the
     ball is guaranteed because ||B(z)|| <= 1 - 1/s(z, z) < 1 before
     truncation.  Raises OutsideBall for ||z|| >= 1 and NearSingular when the
-    resolvent system's condition number exceeds the gate (point too close
-    to the boundary for the horizon).  This is the one-point case of the
-    batched evaluation the curvature and fibre-dimension estimators use.
+    resolvent system's condition number exceeds the package's gate (point
+    too close to the boundary for the horizon).  This is the one-point case
+    of the batched evaluation the curvature and fibre-dimension estimators
+    use.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (k.d,):
         raise ValueError(f"point must have {k.d} coordinates, got {z.shape}")
-    theta = _theta_map(pkg, k, z[None, :], lambda zc, th: th, tol)[0]
+    theta = _theta_map(pkg, k, z[None, :], lambda zc, th: th)[0]
     sv = np.linalg.svd(theta, compute_uv=False)
     return PointEvaluation(z=z, theta=theta, singular_values=sv)
 
@@ -175,7 +158,8 @@ def eval_theta(
 @dataclass(frozen=True)
 class CharacteristicSeries:
     """Graded Taylor data: coeffs maps alpha entries to the rank_delta x
-    rank_d matrix A_alpha, for |alpha| <= n_theta."""
+    rank_d matrix A_alpha, for |alpha| <= n_theta, with the tolerances of
+    the package it was built from."""
 
     coeffs: dict[tuple[int, ...], np.ndarray]
     n_theta: int
@@ -185,6 +169,7 @@ class CharacteristicSeries:
     is_polynomial: bool
     degree: int | None           # exact degree when is_polynomial
     kernel_fingerprint: tuple
+    tol: Tolerances
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Sum of A_gamma z^gamma over the stored coefficients, at one point
@@ -198,12 +183,7 @@ class CharacteristicSeries:
         return out if z.ndim == 2 else out[0]
 
 
-def taylor(
-    pkg: DefectPackage,
-    k: KernelSpec,
-    n_theta: int | None = None,
-    tol: Tolerances = DEFAULT,
-) -> CharacteristicSeries:
+def taylor(pkg: DefectPackage, k: KernelSpec, n_theta: int | None = None) -> CharacteristicSeries:
     """Extract A_gamma for |gamma| <= n_theta (theta_horizon) from the
     realization the point values use.
 
@@ -214,7 +194,7 @@ def taylor(
     + sum over blocks 0 < beta < gamma of sqrt(b_beta) Ttilde_beta* H_{gamma-beta}.
     """
     n_theta = theta_horizon(pkg, k, n_theta)
-    exps, roots, adj, dv, const, left = _realization(pkg, k)
+    exps, roots, adj, dv, const, left = pkg.realization
     block_of = {tuple(e): i for i, e in enumerate(exps.tolist())}
     steps = roots[:, None, None] * adj
     coeffs: dict[tuple[int, ...], np.ndarray] = {(0,) * k.d: const}
@@ -229,7 +209,7 @@ def taylor(
             h[gamma.entries] = acc
             coeffs[gamma.entries] = left @ acc
 
-    is_poly, degree = _polynomial_state(pkg, k, coeffs, n_theta, tol)
+    is_poly, degree = _polynomial_state(pkg, k, coeffs, n_theta)
     return CharacteristicSeries(
         coeffs=coeffs,
         n_theta=n_theta,
@@ -239,6 +219,7 @@ def taylor(
         is_polynomial=is_poly,
         degree=degree,
         kernel_fingerprint=k.fingerprint(),
+        tol=pkg.tol,
     )
 
 
@@ -264,22 +245,21 @@ def theta_horizon(pkg: DefectPackage, k: KernelSpec, n_theta: int | None = None)
     return n_theta
 
 
-def _polynomial_state(pkg, k, coeffs, n_theta, tol):
+def _polynomial_state(pkg, k, coeffs, n_theta):
     """theta is certified polynomial when the tuple is nilpotent and the
     kernel's b-support is finite: every coefficient beyond
-    (nilpotency - 1) + max b-support then vanishes identically."""
+    (nilpotency - 1) + max b-support then vanishes identically.  The degree
+    is the largest one with a coefficient above eps_id times the largest
+    coefficient norm (or 1); each norm is taken once."""
     nd = pkg.nilpotent_degree
     if nd is None or k.b_support_bound is None:
         return False, None
     bound = nd - 1 + k.b_support_bound
     if n_theta < bound:
         return False, None
-    scale = max(1.0, max((op_norm(a) for a in coeffs.values()), default=0.0))
-    degree = 0
-    for key, a in coeffs.items():
-        if op_norm(a) > tol.eps_id * scale and sum(key) > degree:
-            degree = sum(key)
-    return True, degree
+    norms = {key: op_norm(a) for key, a in coeffs.items()}
+    cut = pkg.tol.eps_id * max(1.0, max(norms.values(), default=0.0))
+    return True, max((sum(key) for key, norm in norms.items() if norm > cut), default=0)
 
 
 def sample_ball_points(d: int, n_samples: int, radius: float, seed: int) -> np.ndarray:
@@ -308,7 +288,6 @@ def check_consistency(
     n_samples: int = 20,
     r_check: float = 0.5,
     seed: int = 2024,
-    tol: Tolerances = DEFAULT,
 ) -> ConsistencyCheck:
     """Max over sampled ||z|| <= r_check of ||eval - series sum||.
 
@@ -321,7 +300,7 @@ def check_consistency(
         diff = theta - series.evaluate(zc)
         return np.linalg.svd(diff, compute_uv=False)[:, 0] if diff.size else np.zeros(len(zc))
 
-    residual = _theta_map(pkg, k, points, residuals, tol)
+    residual = _theta_map(pkg, k, points, residuals)
     worst = float(residual.max()) if residual.size else 0.0
     bound = (1.0 + 1e-8) * r_check ** (series.n_theta + 1) / (1.0 - r_check)
-    return ConsistencyCheck(max_residual=worst, tail_bound=bound + tol.eps_id)
+    return ConsistencyCheck(max_residual=worst, tail_bound=bound + pkg.tol.eps_id)

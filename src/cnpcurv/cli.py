@@ -5,6 +5,9 @@ JSON/CSV out; every error maps to a distinct exit code with a one-line
 machine-parsable message on stderr.  `--deterministic` pins the BLAS worker
 count to one so identical configurations produce byte-identical reports.
 
+`curvature`, `theta`, `traces` and `fd` print the stages of one pipeline
+run (pipeline.PipelineResult), which alone orders them and builds each once.
+
 Heavy imports happen inside the command handlers: `--threads` (or the
 CNPCURV_THREADS environment variable) must take effect before the numerics
 stack loads.
@@ -148,18 +151,24 @@ def _preset_horizon(args, *extra: int) -> int:
     return max(candidates) + 2
 
 
-def _setup(args, package: bool = True):
-    """(tuple, kernel, defect package at --horizon or None); the kernel
+def _setup(args):
+    """(tuple, kernel) from --input and the kernel options; the kernel
     horizon also covers the nilpotency default plus dimH."""
     from .formats import kernel_from_args, load_tuple_json
-    from .tuples import default_horizon, defect_package
+    from .tuples import default_horizon
 
     t = load_tuple_json(args.input)
     auto = default_horizon(t)
     horizon = _preset_horizon(args, *([auto + t.dim_h] if auto is not None else []))
     k = kernel_from_args(args.kernel, args.kernel_file, d=t.d, horizon=horizon)
-    pkg = defect_package(t, k, n_op=args.horizon) if package else None
-    return t, k, pkg
+    return t, k
+
+
+def _run(args, **settings):
+    """The pipeline run over _setup(args), at defect horizon --horizon."""
+    from .pipeline import PipelineResult, RunSettings
+
+    return PipelineResult(*_setup(args), RunSettings(n_op=args.horizon, **settings))
 
 
 def _csv_row(n: int, *values: float) -> str:
@@ -178,6 +187,9 @@ def cmd_identities(args) -> int:
     from .formats import load_kernel_file
     from .kernel import preset, weights
 
+    for flag, value in (("--d-max", args.d_max), ("--n-max", args.n_max)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     ok = True
     for d in range(1, args.d_max + 1):
         count = 0
@@ -252,17 +264,11 @@ def cmd_curvature(args) -> int:
     from .formats import dumps_json17, format_float17
     from .pipeline import RunSettings, run_curvature
 
-    t, k, _ = _setup(args, package=False)
-    settings = RunSettings(
-        n_op=args.horizon,
-        n_theta=args.theta_horizon,
-        n_max=args.max_n,
-        radius=args.radius,
-        n_samples=args.samples,
-        seed=args.seed,
-    )
-    result = run_curvature(t, k, settings)
-    report = result.report
+    result = run_curvature(*_setup(args), RunSettings(
+        n_op=args.horizon, n_theta=args.theta_horizon, n_max=args.max_n,
+        radius=args.radius, n_samples=args.samples, seed=args.seed,
+    ))
+    report, k = result.report, result.k
     if args.format == "json":
         payload = {
             "kernel": {"name": k.name, "d": k.d, "N": k.N},
@@ -291,14 +297,14 @@ def cmd_curvature(args) -> int:
 def cmd_theta(args) -> int:
     import numpy as np
 
-    from .charfn import eval_theta, taylor
+    from .charfn import eval_theta
     from .formats import dumps_json17, format_float17
 
-    _, k, pkg = _setup(args)
+    run = _run(args, n_theta=args.taylor)
     point = np.array([complex(part) for part in args.point.split(",")])
-    pe = eval_theta(pkg, k, point)
+    pe = eval_theta(run.pkg, run.k, point)
     # built before anything is printed, so a bad --taylor leaves no output
-    series = taylor(pkg, k, n_theta=args.taylor) if args.taylor is not None else None
+    series = run.series if args.taylor is not None else None
     print("theta entries ([re, im] per column):")
     for row in pe.theta:
         print("  " + "  ".join(f"[{format_float17(e.real)}, {format_float17(e.imag)}]" for e in row))
@@ -314,41 +320,28 @@ def cmd_theta(args) -> int:
 
 def cmd_traces(args) -> int:
     from .comb import q
-    from .curvature import DegreeProfile, ordering_rows
+    from .curvature import ordering_rows
 
-    t, k, pkg = _setup(args)
-    rows = ordering_rows(DegreeProfile.build(t, pkg, k, args.max_n))
+    run = _run(args, n_max=args.max_n)
+    rows = ordering_rows(run.profile)
     print("n,trace_E,trace_E_normalized,trace_P_normalized,dpsi_partial")
     for row in rows:
-        te = row["t_e_normalized"] * q(k.d - 1, row["n"])
+        te = row["t_e_normalized"] * q(run.k.d - 1, row["n"])
         print(_csv_row(row["n"], te, row["t_e_normalized"], row["t_p_normalized"], row["dpsi_partial"]))
     return 0
 
 
 def cmd_fd(args) -> int:
-    from .charfn import taylor
-    from .fibredim import fd_by_grading, fd_report
     from .formats import dumps_json17
-    from .tuples import purity
 
-    t, k, pkg = _setup(args)
-    pur = purity(t, k, pkg)
-    rep = fd_report(
-        pkg,
-        k,
-        n_samples=args.samples,
-        radius=args.radius,
-        seed=args.seed,
-        purity_residual=pur.purity_residual,
-    )
-    series = taylor(pkg, k)
-    graded = fd_by_grading(series, k, args.max_n)
+    run = _run(args, n_max=args.max_n)
+    rep = run.fibre_dimension(args.samples, args.radius, args.seed)
     payload = {
         "fd_eval": rep.fd_eval,
         "label": rep.label,
         "attained_fraction": rep.attained_fraction,
-        "graded_dims": graded,
-        "purity_residual": pur.purity_residual,
+        "graded_dims": rep.graded_dims,
+        "purity_residual": run.purity.purity_residual,
     }
     print(dumps_json17(payload, indent=2))
     return 0

@@ -1,7 +1,8 @@
 """Central tolerance defaults.
 
-Every numerical gate in the package reads its default from here so that the
-CLI can override them in one place.
+Every numerical gate reads its default from here.  A defect package carries
+the tolerances it was built with and everything computed from it reads them
+there, so defect_package(tol=) or RunSettings.tol is the one entry.
 """
 from __future__ import annotations
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .charfn import CharacteristicSeries, _theta_map, sample_ball_points, theta_horizon
 from .comb import q
-from .config import DEFAULT, Tolerances
 from .errors import (
     HorizonExceeded,
     IntegerMismatch,
@@ -170,18 +169,16 @@ def curvature_integral(
     radius: float = 0.999,
     n_samples: int = 4000,
     seed: int = 7,
-    tol: Tolerances = DEFAULT,
 ) -> IntegralEstimate:
     """Monte-Carlo sphere average of dim(Ran Delta) - trace(theta theta*) at
-    the given radius, with standard error; deterministic under a fixed seed."""
+    the given radius, with standard error; deterministic under a fixed seed.
+    Raises NearSingular as the theta map does, under the package's gate."""
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     points = sample_ball_points(k.d, n_samples, radius, seed)
-    frob_sq = _theta_map(
-        pkg, k, points, lambda zc, theta: np.sum(np.abs(theta) ** 2, axis=(1, 2)), tol
-    )
+    frob_sq = _theta_map(pkg, k, points, lambda zc, theta: np.sum(np.abs(theta) ** 2, axis=(1, 2)))
     vals = pkg.rank_delta - frob_sq
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return IntegralEstimate(
@@ -199,17 +196,15 @@ def curvature_pure(
     profile: DegreeProfile,
     fd_estimate: int,
     purity_residual: float,
-    tol: Tolerances = DEFAULT,
 ) -> int:
     """Integer curvature dim(Ran Delta) - fd for pure tuples.
 
-    Raises NotPure when the purity residual exceeds the gate and
+    Raises NotPure when the purity residual exceeds the package's gate and
     IntegerMismatch when the series estimate sits far from an integer even
     though purity holds (horizons inconsistent)."""
-    if purity_residual > tol.eps_pure:
-        raise NotPure(
-            f"purity residual {purity_residual:.3e} exceeds {tol.eps_pure:.1e}"
-        )
+    eps_pure = pkg.tol.eps_pure
+    if purity_residual > eps_pure:
+        raise NotPure(f"purity residual {purity_residual:.3e} exceeds {eps_pure:.1e}")
     k_series = pkg.rank_delta - profile.series_value
     if series.is_polynomial and abs(k_series - round(k_series)) > 0.05:
         raise IntegerMismatch(
@@ -265,9 +260,9 @@ def reconcile(
     series: CharacteristicSeries,
     pkg: DefectPackage,
     k: KernelSpec,
-    tol: Tolerances = DEFAULT,
 ) -> ReconcileVerdict:
-    """Consistency verdict over the populated estimators.
+    """Consistency verdict over the populated estimators, under the
+    package's tolerances.
 
     Hard checks (failures raise ReconcileFailure):
       * series/package/kernel all refer to the same kernel table;
@@ -294,6 +289,7 @@ def reconcile(
     if series.kernel_fingerprint != k.fingerprint() or pkg.kernel_fingerprint != k.fingerprint():
         raise ReconcileFailure("series/package built against a different kernel table")
 
+    tol = pkg.tol
     checks: list[ReconcileCheck] = []
     dim = report.dim_ran_delta
     eps_range = 1e-8

@@ -66,11 +66,11 @@ def fd_report(
     radius: float = 0.8,
     seed: int = 11,
     purity_residual: float | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> FibreDimReport:
     """Max numerical rank of theta(z) over sampled points (radii spread over
     [radius/2, radius] to guard degenerate sampling), with the share of
-    samples attaining it."""
+    samples attaining it.  Ranks, the purity label and the conditioning gate
+    use the package's tolerances."""
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     if n_samples < 20:
@@ -80,9 +80,8 @@ def fd_report(
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     radii = radius * (0.5 + 0.5 * rng.random(n_samples))
     points = radii[:, None] * u
-    ranks = _theta_map(
-        pkg, k, points, lambda zc, theta: _numerical_ranks(theta, tol.eps_rank), tol
-    )
+    tol = pkg.tol
+    ranks = _theta_map(pkg, k, points, lambda zc, theta: _numerical_ranks(theta, tol.eps_rank))
     samples = [(tuple(z), int(rank)) for z, rank in zip(points, ranks)]
     best = int(ranks.max())
     attained = int(np.sum(ranks == best)) / n_samples
@@ -225,12 +224,7 @@ def _leading_ranks(r: np.ndarray, sizes, eps_rank: float) -> np.ndarray:
     return out
 
 
-def fd_by_grading(
-    series: CharacteristicSeries,
-    k: KernelSpec,
-    n_max: int,
-    tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+def fd_by_grading(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> np.ndarray:
     """dim(P_n Ran M_theta) / q_d(n) for n = 0..n_max, from one triangular
     factor.
 
@@ -240,8 +234,9 @@ def fd_by_grading(
     q_d(n) rank_delta rows of M_{n_max} with zero columns appended.  If
     M_{n_max}* = QR with R upper triangular, M_n therefore has the singular
     values of the leading block R[:m_n, :m_n], and dim(P_n Ran M_theta) is
-    its numerical rank (singular values above tol.eps_rank times the
-    largest, the rule applied to M_n itself).
+    its numerical rank (singular values above eps_rank times the largest,
+    the rule applied to M_n itself, with the tolerances the series
+    records).
 
     R depends only on M M* = R* R, so it is built without the multiplier.
     The rows of M* are streamed by source degree, from n_max down to 0, in
@@ -253,7 +248,7 @@ def fd_by_grading(
 
     Every degree's rank then comes from one shared certificate instead of
     one SVD per degree (_leading_ranks).  The columns S of R whose diagonal
-    entry exceeds tol.eps_rank times the largest column norm give the
+    entry exceeds eps_rank times the largest column norm give the
     candidate rank rho_n of R[:m_n, :m_n]: those before m_n.  One inverse of
     R[S, S] bounds that block's rho_n-th singular value from below and the
     residuals of the other columns bound the next one from above, for
@@ -319,7 +314,7 @@ def fd_by_grading(
         _merge(r[lo:, lo:], buf, limits[low])
 
     # starts[n + 1] = q_d(n), the number of monomials of degree <= n
-    return _leading_ranks(r, starts[1:] * r_tgt, tol.eps_rank) / starts[1:]
+    return _leading_ranks(r, starts[1:] * r_tgt, series.tol.eps_rank) / starts[1:]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,18 @@
-"""End-to-end orchestration: tuple + kernel -> full curvature report."""
+"""End-to-end orchestration: tuple + kernel -> full curvature report.
+
+A PipelineResult is one run: pkg -> purity (walked to n_theta) -> profile
+-> series -> fd -> report.  Each stage is built on first read and kept, so
+a caller runs only the stages it reads, each once.  The defect package
+carries the run's tolerances (RunSettings.tol); every later stage reads
+them there.
+"""
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .charfn import taylor, theta_horizon
+from .charfn import CharacteristicSeries, taylor, theta_horizon
 from .config import DEFAULT, Tolerances
 from .curvature import (
     CurvatureReport,
@@ -15,9 +24,15 @@ from .curvature import (
     reconcile,
 )
 from .errors import IntegerMismatch, NotPure
-from .fibredim import fd_by_grading, fd_report, innermult_consistency
+from .fibredim import (
+    FibreDimReport,
+    InnermultVerdict,
+    fd_by_grading,
+    fd_report,
+    innermult_consistency,
+)
 from .kernel import KernelSpec
-from .tuples import OperatorTuple, defect_package, purity
+from .tuples import DefectPackage, OperatorTuple, PurityReport, defect_package, purity
 
 __all__ = ["RunSettings", "PipelineResult", "run_curvature"]
 
@@ -26,7 +41,7 @@ __all__ = ["RunSettings", "PipelineResult", "run_curvature"]
 class RunSettings:
     n_op: int | None = None       # defect series horizon (None: nilpotency default, >= b-support)
     n_theta: int | None = None    # profile and Taylor horizon (None: termination degree or n_op)
-    n_max: int = 12               # weighted/ordering table depth
+    n_max: int = 12               # weighted/ordering table and grading depth
     radius: float = 0.999
     n_samples: int = 4000
     seed: int = 7
@@ -35,104 +50,106 @@ class RunSettings:
     tol: Tolerances = DEFAULT
 
 
-@dataclass
 class PipelineResult:
-    report: CurvatureReport
-    series: object
-    profile: DegreeProfile
-    pkg: object
-    purity: object
-    fd: object
-    innermult: object | None
+    """One run of tuple t over kernel k under settings.
+
+    One sigma walk sums the purity series and gives the traces of the degree
+    profile, which every scalar route reads.  The Taylor series serves only
+    the graded fibre dimension and the polynomial state."""
+
+    def __init__(self, t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()):
+        self.t, self.k, self.settings = t, k, settings
+
+    @cached_property
+    def pkg(self) -> DefectPackage:
+        return defect_package(self.t, self.k, n_op=self.settings.n_op, tol=self.settings.tol)
+
+    @cached_property
+    def n_theta(self) -> int:
+        return theta_horizon(self.pkg, self.k, self.settings.n_theta)
+
+    @cached_property
+    def purity(self) -> PurityReport:
+        return purity(self.t, self.k, self.pkg, n_traces=self.n_theta)
+
+    @cached_property
+    def profile(self) -> DegreeProfile:
+        return DegreeProfile.build(
+            self.t, self.pkg, self.k, self.settings.n_max, self.n_theta, traces=self.purity.traces
+        )
+
+    @cached_property
+    def series(self) -> CharacteristicSeries:
+        return taylor(self.pkg, self.k, n_theta=self.n_theta)
+
+    def fibre_dimension(self, n_samples: int, radius: float, seed: int) -> FibreDimReport:
+        """The evaluation rank over n_samples points of the given radius and
+        seed, with the graded dimensions up to settings.n_max."""
+        rep = fd_report(self.pkg, self.k, n_samples, radius, seed, self.purity.purity_residual)
+        graded = fd_by_grading(self.series, self.k, self.settings.n_max)
+        return replace(
+            rep,
+            graded_dims=graded,
+            fd_graded_last=float(graded[-1]),
+            fd_graded_slope=float(graded[-1] - graded[-2]) if len(graded) >= 2 else 0.0,
+        )
+
+    @cached_property
+    def fd(self) -> FibreDimReport:
+        s = self.settings
+        return self.fibre_dimension(s.fd_samples, s.fd_radius, s.seed + 1)
+
+    @cached_property
+    def report(self) -> CurvatureReport:
+        """Every estimator, collected and reconciled."""
+        pkg, k, s = self.pkg, self.k, self.settings
+        pur, profile, series = self.purity, self.profile, self.series
+        k_w = curvature_weighted(profile, pkg.rank_delta)
+        k_int = curvature_integral(pkg, k, radius=s.radius, n_samples=s.n_samples, seed=s.seed)
+        fd_rep = self.fd
+        k_pure = None  # for an impure tuple or inconsistent horizons
+        with suppress(NotPure, IntegerMismatch):
+            k_pure = curvature_pure(pkg, series, profile, fd_rep.fd_eval, pur.purity_residual)
+        report = CurvatureReport(
+            dim_ran_delta=pkg.rank_delta,
+            rank_d=pkg.rank_d,
+            purity_residual=pur.purity_residual,
+            purity_exact=pur.exact,
+            trace_dpsi_series=profile.series_value,
+            k_series=pkg.rank_delta - profile.series_value,
+            k_weighted=k_w,
+            k_integral=k_int,
+            k_at_radius_exact=pkg.rank_delta - profile.sphere_average(s.radius),
+            k_pure=k_pure,
+            fd_eval=fd_rep.fd_eval,
+            is_polynomial=series.is_polynomial,
+            theta_degree=series.degree,
+            n_theta=series.n_theta,
+            n_op=pkg.n_op,
+            tail_bound=pkg.tail_bound,
+            convergence=ordering_rows(profile),
+        )
+        report.verdict = reconcile(report, series, pkg, k)
+        return report
+
+    @cached_property
+    def innermult(self) -> InnermultVerdict | None:
+        """The inner-multiplier chain check, or None when purity fails."""
+        pur = self.purity
+        if pur.purity_residual > self.pkg.tol.eps_pure:
+            return None
+        return innermult_consistency(
+            self.fd,
+            self.profile.series_value,
+            [row["t_p_normalized"] for row in self.report.convergence],
+            pur.purity_residual,
+            tol=self.pkg.tol,
+        )
 
 
 def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()) -> PipelineResult:
-    """load -> defect -> purity and degree profile -> curvature -> taylor ->
-    fd -> reconcile, collecting everything into a CurvatureReport.
-
-    One sigma walk sums the purity series and gives the traces the degree
-    profile is built from, once; the series, weighted, exact sphere-average,
-    pure and monitoring routes all read it.  The Taylor series serves only
-    the graded fibre dimension and the polynomial state."""
-    tol = settings.tol
-    pkg = defect_package(t, k, n_op=settings.n_op, tol=tol)
-    n_theta = theta_horizon(pkg, k, settings.n_theta)
-    pur = purity(t, k, pkg, n_traces=n_theta)
-    profile = DegreeProfile.build(t, pkg, k, settings.n_max, n_theta, traces=pur.traces)
-    series = taylor(pkg, k, n_theta=n_theta, tol=tol)
-    dpsi = profile.series_value
-    k_series = pkg.rank_delta - dpsi
-    k_w = curvature_weighted(profile, pkg.rank_delta)
-    k_int = curvature_integral(
-        pkg, k,
-        radius=settings.radius,
-        n_samples=settings.n_samples,
-        seed=settings.seed,
-        tol=tol,
-    )
-    k_at_r = pkg.rank_delta - profile.sphere_average(settings.radius)
-
-    fd_rep = fd_report(
-        pkg, k,
-        n_samples=settings.fd_samples,
-        radius=settings.fd_radius,
-        seed=settings.seed + 1,
-        purity_residual=pur.purity_residual,
-        tol=tol,
-    )
-    graded = fd_by_grading(series, k, min(settings.n_max, k.N), tol=tol)
-    fd_rep = _with_grading(fd_rep, graded)
-
-    rows = ordering_rows(profile)
-
-    k_pure = None
-    inner = None
-    if pur.purity_residual <= tol.eps_pure:
-        try:
-            k_pure = curvature_pure(
-                pkg, series, profile, fd_rep.fd_eval, pur.purity_residual, tol=tol
-            )
-        except (NotPure, IntegerMismatch):
-            k_pure = None
-        inner = innermult_consistency(
-            fd_rep,
-            dpsi,
-            [row["t_p_normalized"] for row in rows],
-            pur.purity_residual,
-            tol=tol,
-        )
-
-    report = CurvatureReport(
-        dim_ran_delta=pkg.rank_delta,
-        rank_d=pkg.rank_d,
-        purity_residual=pur.purity_residual,
-        purity_exact=pur.exact,
-        trace_dpsi_series=dpsi,
-        k_series=k_series,
-        k_weighted=k_w,
-        k_integral=k_int,
-        k_at_radius_exact=k_at_r,
-        k_pure=k_pure,
-        fd_eval=fd_rep.fd_eval,
-        is_polynomial=series.is_polynomial,
-        theta_degree=series.degree,
-        n_theta=series.n_theta,
-        n_op=pkg.n_op,
-        tail_bound=pkg.tail_bound,
-        convergence=rows,
-    )
-    report.verdict = reconcile(report, series, pkg, k, tol=tol)
-    return PipelineResult(
-        report=report, series=series, profile=profile, pkg=pkg, purity=pur, fd=fd_rep,
-        innermult=inner,
-    )
-
-
-def _with_grading(fd_rep, graded):
-    slope = float(graded[-1] - graded[-2]) if len(graded) >= 2 else 0.0
-    return replace(
-        fd_rep,
-        graded_dims=graded,
-        fd_graded_last=float(graded[-1]) if len(graded) else None,
-        fd_graded_slope=slope,
-    )
+    """defect -> purity and degree profile -> taylor -> curvature and fd ->
+    reconcile: the run, with its report built."""
+    run = PipelineResult(t, k, settings)
+    run.report  # builds every stage the report reads
+    return run

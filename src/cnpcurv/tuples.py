@@ -194,7 +194,8 @@ class DefectPackage:
     rank_d and the intertwining residual) needs an eigendecomposition of the
     tilde_dim x tilde_dim matrix I - Ttilde* Ttilde, so it is built on first
     read, with the package's tolerances, and kept: the sigma walk, purity and
-    the degree profile never read it.
+    the degree profile never read it.  So is theta's realization.  Every
+    estimator that reads the package takes its gates from tol.
     """
 
     n_op: int
@@ -210,6 +211,8 @@ class DefectPackage:
     dim_h: int
     nilpotent_degree: int | None
     tol: Tolerances
+    block_exps: np.ndarray           # the blocks' alpha, n_blocks x d
+    block_roots: np.ndarray          # sqrt(b_alpha) per block
 
     @property
     def tilde_dim(self) -> int:
@@ -242,6 +245,18 @@ class DefectPackage:
     @property
     def intertwine_residual(self) -> float:
         return self._tilde_side[2]
+
+    @cached_property
+    def realization(self) -> tuple:
+        """theta(z) = A_0 + W* Delta (I - B(z))^{-1} Z(z) Dtilde V (see charfn):
+        alpha, sqrt(b_alpha), Ttilde_alpha* and (Dtilde V)_alpha stacked over
+        the blocks, then A_0 = -W* Ttilde V and W* Delta."""
+        dim, n_blocks = self.dim_h, len(self.tilde_index_set)
+        # t_tilde[i, alpha * dim + j] is entry (i, j) of the alpha-block
+        adj = self.t_tilde.reshape(dim, n_blocks, dim).conj().transpose(1, 2, 0)
+        dv = (self.d_tilde @ self.v).reshape(n_blocks, dim, self.rank_d)
+        const = -self.w.conj().T @ self.t_tilde @ self.v
+        return self.block_exps, self.block_roots, adj, dv, const, self.w.conj().T @ self.delta
 
 
 def default_horizon(t: OperatorTuple) -> int | None:
@@ -319,14 +334,15 @@ def defect_package(
     dim = t.dim_h
     index_set = []
     s_n = np.zeros((dim, dim), dtype=complex)
-    blocks = []
+    blocks, roots = [], []
     for n, level in enumerate(_degree_powers(t.ops, n_op), start=1):
         if k.b[n] <= 0.0:
             continue
         for alpha, ta in level:
             b_alpha = k.b_of(alpha)
             s_n += b_alpha * (ta @ ta.conj().T)
-            blocks.append(np.sqrt(b_alpha) * ta)
+            roots.append(np.sqrt(b_alpha))
+            blocks.append(roots[-1] * ta)
             index_set.append(alpha)
     t_tilde = (
         np.hstack(blocks) if blocks else np.zeros((dim, 0), dtype=complex)
@@ -356,6 +372,8 @@ def defect_package(
         dim_h=dim,
         nilpotent_degree=nd,
         tol=tol,
+        block_exps=np.array([a.entries for a in index_set], dtype=int).reshape(len(index_set), t.d),
+        block_roots=np.array(roots),
     )
 
 

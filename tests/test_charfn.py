@@ -9,7 +9,7 @@ import cnpcurv as cc
 from cnpcurv.charfn import check_consistency, sample_ball_points
 from cnpcurv.errors import HorizonExceeded, NearSingular, OutsideBall
 
-from conftest import jordan_block, random_nilpotent_tuple, random_unitary
+from conftest import jordan_block, random_nilpotent_tuple, random_unitary, truncated_shift_ops
 from oracles import coeff_gram_trace
 
 
@@ -143,6 +143,19 @@ class TestTaylor:
         assert pkg.n_op == 3  # the nilpotency default: the preset's b-support is 1
         series = cc.taylor(pkg, k, n_theta=6)
         assert series.degree == 4
+
+    def test_polynomial_state_takes_one_norm_per_coefficient(self, monkeypatch):
+        import cnpcurv.charfn as charfn
+
+        k = cc.preset("drury-arveson", d=2, N=10)
+        t = cc.load_tuple([0.4 * m for m in truncated_shift_ops(2, 3)])
+        pkg = cc.defect_package(t, k)
+        norms = []
+        real = charfn.op_norm
+        monkeypatch.setattr(charfn, "op_norm", lambda a: norms.append(a) or real(a))
+        series = cc.taylor(pkg, k)
+        assert len(norms) == len(series.coeffs)
+        assert series.is_polynomial and series.degree == 3
 
     def test_unitary_invariance_of_gram_traces(self, rng):
         t = random_nilpotent_tuple(rng)

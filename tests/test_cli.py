@@ -72,6 +72,14 @@ class TestIdentities:
     def test_minimal(self, capsys):
         assert main(["identities", "--d-max", "1", "--n-max", "1"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--d-max", "--n-max"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bound_below_one_rejected_before_output(self, flag, value, capsys):
+        assert main(["identities", flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: ValueError: {flag} must be >= 1, got {value}\n"
+
     def test_corrupt_kernel_file(self, tmp_path, capsys):
         bad = tmp_path / "bad_kernel.json"
         bad.write_text(json.dumps([1.0, 2.0, 1.0]))  # b_2 = -3
@@ -260,6 +268,13 @@ def test_negative_max_n_rejected(command, max_n, jordan3_file, capsys):
     rc = main([command, "--input", jordan3_file, "--kernel", "szego", "--max-n", max_n])
     assert rc == 1
     assert capsys.readouterr().err.strip() == "error: ValueError: n_max must be >= 0"
+
+
+@pytest.mark.parametrize("command", ["traces", "curvature", "fd"])
+def test_rejected_request_prints_no_output(command, jordan3_file, capsys):
+    # every stage a command prints from is built before its first line
+    assert main([command, "--input", jordan3_file, "--kernel", "szego", "--max-n", "-1"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 class TestThetaCommand:

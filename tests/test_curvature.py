@@ -4,6 +4,7 @@ import pytest
 
 import cnpcurv as cc
 from cnpcurv.charfn import CharacteristicSeries
+from cnpcurv.config import DEFAULT
 from cnpcurv.curvature import (
     DegreeProfile,
     curvature_integral,
@@ -35,6 +36,7 @@ def synthetic_series(d, coeffs, rank_delta, rank_d, k, is_poly=True):
         is_polynomial=is_poly,
         degree=max(degs) if is_poly else None,
         kernel_fingerprint=k.fingerprint(),
+        tol=DEFAULT,
     )
 
 

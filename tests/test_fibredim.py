@@ -111,7 +111,7 @@ def _series(k, coeffs):
     degree = max(sum(key) for key in coeffs)
     return CharacteristicSeries(
         coeffs=coeffs, n_theta=degree, d=k.d, rank_delta=rank_delta, rank_d=rank_d,
-        is_polynomial=True, degree=degree, kernel_fingerprint=k.fingerprint(),
+        is_polynomial=True, degree=degree, kernel_fingerprint=k.fingerprint(), tol=DEFAULT,
     )
 
 

@@ -26,7 +26,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cnpcurv as cc
 from cnpcurv.charfn import _theta_map, sample_ball_points
-from cnpcurv.config import DEFAULT
 from cnpcurv.curvature import DegreeProfile, ordering_rows
 
 from conftest import random_unitary, truncated_shift_ops
@@ -204,7 +203,7 @@ def test_dimh_integrand_matches_theta_map(case, seed):
     rng = np.random.default_rng(seed)
     points = sample_ball_points(t.d, 6, 1.0, seed) * (0.99 * rng.random(6))[:, None]
     got = _theta_map(
-        pkg, k, points, lambda zc, th: pkg.rank_delta - np.sum(np.abs(th) ** 2, axis=(1, 2)), DEFAULT
+        pkg, k, points, lambda zc, th: pkg.rank_delta - np.sum(np.abs(th) ** 2, axis=(1, 2))
     )
     ref = dimh_integrand(pkg, k, points)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (got, ref)

@@ -100,7 +100,7 @@ class TestAgainstReference:
             seen.append(len(zc))
             return theta
 
-        thetas = _theta_map(pkg, k, points, keep, DEFAULT)
+        thetas = _theta_map(pkg, k, points, keep)
         assert seen == chunks
         assert thetas.shape == (count, pkg.rank_delta, pkg.rank_d)
         for z, theta in zip(points, thetas):
@@ -127,7 +127,7 @@ class TestAgainstReference:
             seen.append(len(zc))
             return np.sum(np.abs(theta) ** 2, axis=(1, 2))
 
-        got = _theta_map(pkg, k, points, frob, DEFAULT)
+        got = _theta_map(pkg, k, points, frob)
         assert seen == [chunk, chunk, 3]
         want = [np.sum(np.abs(theta_reference(pkg, k, z)) ** 2) for z in points]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -185,7 +185,7 @@ class TestGatesOnBatches:
             points[-1] = 0.0
             points[-1, 0] = bad
             with pytest.raises(OutsideBall):
-                _theta_map(pkg, k, points, lambda zc, th: calls.append(len(zc)), DEFAULT)
+                _theta_map(pkg, k, points, lambda zc, th: calls.append(len(zc)))
         # the finiteness and norm gates run before any chunk is evaluated
         assert calls == []
 
@@ -194,10 +194,10 @@ class TestGatesOnBatches:
         pkg = cc.defect_package(cc.load_tuple([np.diag([1.0, 0.0])]), k, n_op=3)
         small_chunks(pkg, k.d)
         good = np.full((3 * CHUNK + 1, 1), 0.5 + 0j)
-        assert _theta_map(pkg, k, good, lambda zc, th: th[:, 0, 0], DEFAULT).shape == (16,)
+        assert _theta_map(pkg, k, good, lambda zc, th: th[:, 0, 0]).shape == (16,)
         points = np.vstack([good, [[1.0 - 1e-13]]])
         with pytest.raises(NearSingular):
-            _theta_map(pkg, k, points, lambda zc, th: th[:, 0, 0], DEFAULT)
+            _theta_map(pkg, k, points, lambda zc, th: th[:, 0, 0])
 
     def test_gate_matches_per_point_condition_number(self, small_chunks):
         k = cc.preset("drury-arveson", d=1, N=5)
@@ -212,9 +212,9 @@ class TestGatesOnBatches:
             points = np.vstack([np.full((2 * CHUNK, 1), 0.3 + 0j), z[None]])
             if fails:
                 with pytest.raises(NearSingular):
-                    _theta_map(pkg, k, points, lambda zc, th: th[:, 0, 0], DEFAULT)
+                    _theta_map(pkg, k, points, lambda zc, th: th[:, 0, 0])
             else:
-                _theta_map(pkg, k, points, lambda zc, th: th[:, 0, 0], DEFAULT)
+                _theta_map(pkg, k, points, lambda zc, th: th[:, 0, 0])
         assert outcomes == {True, False}
 
     @settings(max_examples=200, deadline=None)
