@@ -6,7 +6,11 @@ expansion (the complete Nevanlinna-Pick coefficients), the weight rows w_{i,n}
 of the asymptotic averaging formula, and finite-horizon regularity trends.
 
 Presets are computed in exact rational arithmetic and converted to floats, so
-row-sum and convolution identities can be asserted exactly.
+row-sum and convolution identities can be asserted exactly.  The exact
+b-table of each preset is kept for the life of the process and extended when
+a larger horizon is asked for (b_n depends on a_0..a_n only), so a process
+that builds many kernels runs the O(N^2) recurrence once per preset; the
+table never grows beyond the largest horizon asked for.
 """
 from __future__ import annotations
 
@@ -52,16 +56,28 @@ def bn_from_an(a_table, eps_cnp: float = DEFAULT.eps_cnp):
     if any(x <= 0 for x in a):
         raise ValueError("all a_n must be positive")
 
-    b = [Fraction(0) if exact else 0.0]  # placeholder so b[n] = b_n
-    for n in range(1, len(a)):
-        bn = a[n] - sum(b[j] * a[n - j] for j in range(1, n))
-        floor = 0 if exact else -eps_cnp
+    return _extend_b(a, [], 0 if exact else -eps_cnp)
+
+
+def _extend_b(a: list, b: list, floor) -> list:
+    """b_1..b_N from a_0..a_N, given the leading b_1..b_k already in b.
+
+    Zero b_j drop out of the recurrence sum, so a kernel with finite
+    b-support (szego, drury-arveson) costs O(N) instead of O(N^2).  Raises
+    CNPViolation at the first b_n below floor.
+    """
+    b = list(b)
+    support = [(j, bj) for j, bj in enumerate(b, start=1) if bj != 0]
+    for n in range(len(b) + 1, len(a)):
+        bn = a[n] - sum(bj * a[n - j] for j, bj in support)
         if bn < floor:
             raise CNPViolation(
                 f"b_{n} = {bn} is negative: not an irreducible CNP kernel"
             )
         b.append(bn)
-    return b[1:]
+        if bn != 0:
+            support.append((n, bn))
+    return b
 
 
 @dataclass(frozen=True)
@@ -136,10 +152,12 @@ def from_coefficients(
 ) -> KernelSpec:
     """Build a KernelSpec from an explicit a-table (exact or float)."""
     a = list(a_table)
-    N = len(a) - 1
-    exact = all(_is_exact_scalar(x) for x in a)
-    b = bn_from_an(a, eps_cnp=eps_cnp)
-    if exact:
+    return _spec(name, d, a, bn_from_an(a, eps_cnp=eps_cnp), b_support_bound)
+
+
+def _spec(name: str, d: int, a: list, b: list, b_support_bound: int | None) -> KernelSpec:
+    """The KernelSpec of a_0..a_N and b_1..b_N, with exact tables when a is exact."""
+    if all(_is_exact_scalar(x) for x in a):
         a_exact = tuple(Fraction(x) for x in a)
         b_exact = (Fraction(0),) + tuple(Fraction(x) for x in b)
     else:
@@ -149,7 +167,7 @@ def from_coefficients(
     return KernelSpec(
         name=name,
         d=d,
-        N=N,
+        N=len(a) - 1,
         a=a_f,
         b=b_f,
         a_exact=a_exact,
@@ -158,13 +176,20 @@ def from_coefficients(
     )
 
 
+# Exact b_1..b_N of each preset, for the largest N asked for so far in this
+# process.  A longer table replaces a shorter one whole, so a reader sees one
+# or the other, and both are prefixes of the same sequence.
+_PRESET_B: dict[str, tuple[Fraction, ...]] = {}
+
+
 def preset(name: str, d: int, N: int) -> KernelSpec:
     """One of the named kernels: szego (d = 1), drury-arveson, dirichlet.
 
     szego/drury-arveson: a_n = 1 (so b = (1, 0, 0, ...)); dirichlet:
     a_n = 1/(n+1).  The szego preset is the d = 1 case; for d > 1 the same
     coefficient table is the Drury-Arveson kernel, so szego with d > 1 is
-    rejected.
+    rejected.  Each call returns a new KernelSpec; its b-table is read from
+    the preset's table kept for the process.
     """
     key = name.strip().lower()
     if key not in PRESET_NAMES:
@@ -187,7 +212,10 @@ def preset(name: str, d: int, N: int) -> KernelSpec:
     else:  # dirichlet
         a = [Fraction(1, n + 1) for n in range(N + 1)]
         support = None
-    return from_coefficients(a, d=d, name=key, b_support_bound=support)
+    b = _PRESET_B.get(key, ())
+    if len(b) < N:
+        b = _PRESET_B[key] = tuple(_extend_b(a, b, 0))
+    return _spec(key, d, a, b[:N], support)
 
 
 # -- weight rows ----------------------------------------------------------

@@ -16,6 +16,10 @@ purity_reference sums the purity series sum_alpha a_alpha T^alpha Delta^2
 cnpcurv.tuples.purity sums a_n sigma^n(Delta^2) degree by degree instead,
 which equals it only because T commutes and a_alpha = a_n n!/alpha!.
 
+nilpotency_degree_reference is the walk cnpcurv.tuples.nilpotency_degree
+ran before it kept only the pure powers (T_i/c)^k: it builds every T^alpha
+of each degree from the degree below and takes the spectral norm of each.
+
 fd_by_grading_reference is the per-degree graded dimension: for each n it
 builds the multiplier truncated to degree n and takes the numerical rank of
 that whole matrix.  cnpcurv.fibredim.fd_by_grading reads every degree's
@@ -62,7 +66,7 @@ from cnpcurv.fibredim import _numerical_ranks
 from cnpcurv.kernel import KernelSpec, weights
 from cnpcurv.traces import PolySpace as _LibPolySpace
 from cnpcurv.traces import multiplier_matrix
-from cnpcurv.tuples import _psqrt, _range_basis, op_norm
+from cnpcurv.tuples import _degree_powers, _psqrt, _range_basis, op_norm
 
 
 def tilde_reference(pkg, tol: Tolerances = DEFAULT):
@@ -135,6 +139,15 @@ def monomial_powers(t, max_degree: int) -> dict[tuple[int, ...], np.ndarray]:
             prev = a[:i] + (a[i] - 1,) + a[i + 1 :]
             powers[a] = t.ops[i] @ powers[prev]
     return powers
+
+
+def nilpotency_degree_reference(t) -> int | None:
+    """The level-table walk: every T^alpha of each degree, two degrees alive."""
+    c = max(t.norms() + [1.0])
+    for m, level in enumerate(_degree_powers([op / c for op in t.ops], t.dim_h), start=1):
+        if all(op_norm(ta) <= 1e-12 for _, ta in level):
+            return m
+    return None
 
 
 def purity_reference(t, k, pkg, n_op: int) -> np.ndarray:

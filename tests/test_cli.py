@@ -357,12 +357,13 @@ class TestTracesCommand:
         assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_traces_builds_no_taylor_series(self, jordan3_file, monkeypatch, capsys):
-        import cnpcurv.charfn as charfn
+        import cnpcurv.pipeline as pipeline
 
         def refused(*args, **kwargs):
             raise AssertionError("taylor called")
 
-        monkeypatch.setattr(charfn, "taylor", refused)
+        # the run builds its series through the name pipeline bound at import
+        monkeypatch.setattr(pipeline, "taylor", refused)
         rc = main(["traces", "--input", jordan3_file, "--kernel", "szego", "--max-n", "6"])
         assert rc == 0
         last = capsys.readouterr().out.strip().splitlines()[-1].split(",")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cnpcurv.errors import CNPViolation, HorizonExceeded, PresetDomainError
 from cnpcurv.kernel import (
@@ -55,6 +55,19 @@ class TestPresets:
         assert list(k.b_exact[1:]) == oracle
 
 
+    @pytest.mark.parametrize("name,d", [("szego", 1), ("drury-arveson", 2), ("dirichlet", 1)])
+    def test_table_kept_between_calls(self, name, d):
+        # each horizon after a larger one, then a larger one again, equals a
+        # fresh recurrence over its own a-table
+        for n in (40, 7, 1, 25, 64):
+            k = preset(name, d=d, N=n)
+            fresh = from_coefficients(list(k.a_exact), d=d, name=name, b_support_bound=k.b_support_bound)
+            assert k.b_exact[1:] == tuple(bn_from_an(list(k.a_exact)))
+            assert k.a.tobytes() == fresh.a.tobytes() and k.b.tobytes() == fresh.b.tobytes()
+            assert k.a_exact == fresh.a_exact and k.b_exact == fresh.b_exact
+            assert k.N == n and preset(name, d=d, N=n) is not k
+
+
 class TestBnRecurrence:
     def test_constant_table(self):
         assert bn_from_an([1, 1, 1, 1]) == [1, 0, 0]
@@ -62,6 +75,33 @@ class TestBnRecurrence:
     def test_rejection(self):
         with pytest.raises(CNPViolation):
             bn_from_an([1, 2, 1])
+
+    @pytest.mark.parametrize("table,message", [
+        ([1, 1, 1, 1, Fraction(1, 2)], "b_4 = -1/2"),
+        ([1.0, 1.0, 1.0, 1.0, 0.5], "b_4 = -0.5"),
+    ])
+    def test_rejection_after_zero_terms(self, table, message):
+        # b_2 = b_3 = 0 drop out of the sum; the violation is still at n = 4
+        with pytest.raises(CNPViolation, match=message):
+            bn_from_an(table)
+
+    @given(st.lists(st.integers(-1, 3), min_size=1, max_size=12))
+    @settings(max_examples=60, derandomize=True)
+    def test_first_violation_from_valid_a(self, raw):
+        # b with zero and negative entries, a by convolution: bn_from_an
+        # returns b, or raises at the first negative b_n with its value
+        total = 2 * (1 + sum(map(abs, raw)))
+        b = [Fraction(1, total)] + [Fraction(x, total) for x in raw]
+        a = [Fraction(1)]
+        for n in range(1, len(b) + 1):
+            a.append(sum(b[j - 1] * a[n - j] for j in range(1, n + 1)))
+        assume(all(x > 0 for x in a))
+        negative = [n for n, bn in enumerate(b, start=1) if bn < 0]
+        if not negative:
+            assert bn_from_an(a) == b
+            return
+        with pytest.raises(CNPViolation, match=f"b_{negative[0]} = {b[negative[0] - 1]} "):
+            bn_from_an(a)
 
     def test_requires_a0_one(self):
         with pytest.raises(ValueError):

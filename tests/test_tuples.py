@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cnpcurv as cc
 from cnpcurv.comb import q
@@ -17,7 +18,7 @@ from cnpcurv.errors import (
 from cnpcurv.tuples import default_horizon, op_norm
 
 from conftest import jordan_block, random_commuting_tuple, random_nilpotent_tuple, random_unitary
-from oracles import purity_reference
+from oracles import nilpotency_degree_reference, purity_reference
 
 
 class TestLoadTuple:
@@ -58,6 +59,35 @@ class TestLoadTuple:
         cc.load_tuple([np.array([[0.0, 0.0], [1e154, 0.0]])])
 
 
+def _diagonalisable(rng: np.random.Generator, d: int, n: int, rho: float) -> list[np.ndarray]:
+    """R diag(lambda_i) R^-1 with a well-conditioned triangular R and
+    |lambda| in [0.1, 0.6], scaled to sum ||T_i||^2 = rho: commuting,
+    non-normal and nilpotent in no coordinate."""
+    r = np.eye(n, dtype=complex) + 0.3 * np.triu(
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1
+    ) / np.sqrt(n)
+    r_inv = np.linalg.inv(r)
+    ops = []
+    for _ in range(d):
+        lam = rng.uniform(0.1, 0.6, n) * np.exp(2j * np.pi * rng.random(n))
+        ops.append(r @ np.diag(lam) @ r_inv)
+    scale = np.sqrt(rho / sum(op_norm(m) ** 2 for m in ops))
+    return [scale * m for m in ops]
+
+
+def _square_zero_ops(d: int) -> list[np.ndarray]:
+    """Multiplication by z_1..z_d on C[z]/(z_1^2, ..., z_d^2), basis indexed
+    by the subsets of {1..d}: commuting, nilpotent of degree d + 1."""
+    ops = []
+    for i in range(d):
+        m = np.zeros((2**d, 2**d))
+        for subset in range(2**d):
+            if not subset >> i & 1:
+                m[subset | 1 << i, subset] = 1.0
+        ops.append(m)
+    return ops
+
+
 class TestNilpotency:
     def test_zero_on_c3(self):
         assert cc.nilpotency_degree(cc.load_tuple([np.zeros((3, 3))])) == 1
@@ -81,6 +111,7 @@ class TestNilpotency:
         rng = np.random.default_rng(5)
         t = cc.load_tuple([np.diag(np.exp(2j * np.pi * rng.random(dim))) for _ in range(d)])
         two_degrees = (q(d - 1, dim) + q(d - 1, dim - 1)) * 16 * dim * dim
+        pure_powers = d * (dim + 1) * 16 * dim * dim
         tracemalloc.start()
         try:
             assert cc.nilpotency_degree(t) is None
@@ -88,6 +119,48 @@ class TestNilpotency:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * two_degrees
+        assert peak < 1.5 * pure_powers
+
+    def test_square_zero_coordinates(self):
+        # T_i^2 = 0 for each i, yet T_1 T_2 T_3 != 0: the degree is set by
+        # the mixed powers, not the pure ones
+        t = cc.load_tuple(_square_zero_ops(3))
+        assert cc.nilpotency_degree(t) == 4
+
+    def test_contraction_stops_well_before_dim(self):
+        # the d = 3, dimH 60 diagonalisable tuple of the series-tables
+        # benchmark: no T_i is nilpotent, but every degree-26 power of T / c
+        # is below 1e-12
+        t = cc.load_tuple(_diagonalisable(np.random.default_rng(460), 3, 60, 0.6))
+        assert cc.nilpotency_degree(t) == 26
+        assert nilpotency_degree_reference(t) == 26
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["nilpotent", "contraction", "square-zero", "unimodular"]),
+           seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+    def test_matches_level_table_walk(self, kind, seed, d):
+        rng = np.random.default_rng(seed)
+        if kind == "nilpotent":
+            top = int(rng.integers(1, 4 if d == 2 else 3))
+            t = random_nilpotent_tuple(rng, ("jordan", 1, None) if d == 1 else ("shift", d, top))
+        elif kind == "contraction":
+            # sum ||T_i||^2 = rho from 1e-6 to 0.9, then each T_i shrunk by
+            # its own factor, so the T^alpha of one degree fall below 1e-12
+            # at different degrees; about half reach it before dimH
+            dim = int(rng.integers(2, 13))
+            ops = _diagonalisable(rng, d, dim, float(10 ** rng.uniform(-6, -0.05)))
+            t = cc.load_tuple([s * m for s, m in zip(10 ** rng.uniform(-4, 0, d), ops)])
+        elif kind == "square-zero":
+            u = random_unitary(rng, 2**d)
+            scales = rng.uniform(0.1, 1, d)
+            t = cc.load_tuple([s * u @ m @ u.conj().T for s, m in zip(scales, _square_zero_ops(d))])
+        else:
+            dim = int(rng.integers(1, 9))
+            t = cc.load_tuple([np.diag(np.exp(2j * np.pi * rng.random(dim))) for _ in range(d)])
+        expected = nilpotency_degree_reference(t)
+        assert cc.nilpotency_degree(t) == expected
+        if kind == "unimodular":
+            assert expected is None
 
     def test_default_horizon_clamps(self):
         assert default_horizon(cc.load_tuple([np.zeros((2, 2))])) == 1
