@@ -8,8 +8,10 @@ dim(P_n Ran M_theta) / q_d(n), whose trend recovers the same number.
 Every graded dimension comes from one triangular factor: the multiplier
 truncated at degree n is a leading block of rows of the one truncated at
 n_max, so its rank is that of a leading block of R, where M_{n_max}* = QR.
-R is streamed from the rows of M* by source degree, n_max down to 0,
-without forming the multiplier.
+R is built without forming the multiplier, in one ascending sweep over
+source degrees: the rows of source degree s reach only the target degrees
+s..s+g (theta of degree g), so each degree is folded once into a sliding
+triangle on those columns, and R is banded.
 """
 from __future__ import annotations
 
@@ -97,40 +99,43 @@ def fd_report(
     )
 
 
-def _slabs(starts: np.ndarray, r_src: int, limits: np.ndarray):
-    """The source monomials by degree s, n_max down to 0 (those of degree s
-    are numbered starts[s] to starts[s+1] - 1), cut into slabs: lists of
-    (s, first, stop) ranges whose r_src rows per monomial add up to at most
-    limits[s] for the slab's lowest degree s, or to one monomial."""
-    slab, rows = [], 0
-    for s in range(len(starts) - 2, -1, -1):
-        first, stop = starts[s], starts[s + 1]
-        while first < stop:
-            take = min(stop - first, max((limits[s] - rows) // r_src, 0 if slab else 1))
-            if take == 0:
-                yield slab
-                slab, rows = [], 0
-                continue
-            slab.append((s, first, first + take))
-            rows += r_src * take
-            first += take
-    if slab:
-        yield slab
+# Column panel of the structured fold: reflectors are made and applied this
+# many columns at a time.
+_PANEL = 32
 
 
-def _merge(r: np.ndarray, rows: np.ndarray, block: int) -> None:
-    """Overwrite the square upper triangular r, in place, with a triangular
-    factor of [r ; rows], `block` columns at a time.
+def _fold(t: np.ndarray, rows: np.ndarray) -> None:
+    """Overwrite the square upper triangular t, in place, with a triangular
+    factor of [t ; rows]; rows is overwritten too.
 
-    Each step factors the block's rows of r together with what is left of
-    `rows`, on the columns from the block on.  The first `block` rows of
-    the result replace those of r; the rest keep the Gram matrix of what is
-    left and vanish on the block's columns, so they carry on to the next
-    block."""
-    for j in range(0, r.shape[1], block):
-        t = np.linalg.qr(np.vstack([r[j : j + block, j:], rows]), mode="r")
-        r[j : j + block, j:] = t[:block]
-        rows = t[block:, block:]
+    Householder QR that keeps t's structure: the reflector of column j
+    mixes row j of t with `rows` and no other row of t, so its vector is
+    e_j over t and v_j over rows, and the rows of t stay the pivot rows.
+    _PANEL columns at a time, the panel's triangle and rows go to
+    np.linalg.qr (mode "raw", which returns the v_j and the scalars tau_j),
+    and the block reflector I - V T V* with V = [I ; v] updates the
+    trailing columns at once.  T is upper triangular with T^-1 = strict
+    upper part of v* v + diag(1 / tau).  A column with nothing to move
+    (a zero column under a real diagonal) gets tau_j = 0 and v_j = 0, a
+    reflector that is the identity: its row of T* V* B is set to zero, so
+    its row of t stays as it was, a zero row included."""
+    n = t.shape[1]
+    for j in range(0, n, _PANEL):
+        e = min(j + _PANEL, n)
+        h, tau = np.linalg.qr(np.vstack([t[j:e, j:e], rows[:, j:e]]), mode="raw")
+        h = h.T
+        t[j:e, j:e] = np.triu(h[: e - j])
+        if e == n:
+            return
+        live = tau != 0
+        v = h[e - j :]
+        tinv = np.triu(v.conj().T @ v, 1)
+        np.fill_diagonal(tinv, 1 / np.where(live, tau, 1))
+        # y = T* V* B for the trailing columns B of [t ; rows]
+        y = np.linalg.solve(tinv.conj().T, t[j:e, e:] + v.conj().T @ rows[:, e:])
+        y[~live] = 0
+        t[j:e, e:] -= y
+        rows[:, e:] -= v @ y
 
 
 def _invert_upper(t: np.ndarray) -> None:
@@ -224,6 +229,69 @@ def _leading_ranks(r: np.ndarray, sizes, eps_rank: float) -> np.ndarray:
     return out
 
 
+def _graded_factor(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> np.ndarray:
+    """Upper triangular R with R* R = M M*, M the multiplier by theta from
+    source to target degree n_max, both sides ordered by degree.
+
+    The rows of M* of source degree s reach only target degrees s..s+g,
+    g = min(largest |gamma| of a nonzero coefficient A_gamma, n_max).  So
+    the source degrees are swept once, in ascending order, each folded into
+    the window of R on the columns of degrees s..s+g.  R holds the window
+    in place: the rows of the degrees above s start as zeros.  Once degree
+    s is folded no later row reaches its columns, so its rows of R are
+    final, and the window slides on.  Row block t of R is therefore zero
+    past degree t + g.
+
+    The rows of source monomial beta are C D_beta: C = [A_gamma*] over the
+    gamma with s + |gamma| <= n_max, side by side, and D_beta scales block
+    gamma by sqrt(a_beta / a_(beta+gamma)) and places it on the columns of
+    beta + gamma.  When C has fewer columns than rows, its triangular
+    factor replaces it, which leaves every (C D_beta)* (C D_beta), and so
+    R* R, as it was.  A degree's rows are built and folded (_fold) in
+    chunks of whole source monomials, of about 2 m^2 / 3 entries at most
+    (m = q_d(n_max) rank_delta), or one monomial.  The fold never factors
+    a chunk on its own: the window's zero rows stay the pivot rows, so a
+    column with nothing below it keeps an exactly zero row of R, which
+    _leading_ranks reads."""
+    r_tgt, r_src = series.rank_delta, series.rank_d
+    terms = [(np.array(key), a.conj().T) for key, a in series.coeffs.items() if np.any(a)]
+    band = min(max(int(gamma.sum()) for gamma, _ in terms), n_max)
+    levels = [enumerate_degree(k.d, s) for s in range(n_max + 1)]
+    monomials = [alpha for level in levels for alpha in level]
+    index = {alpha.entries: i for i, alpha in enumerate(monomials)}
+    a_alpha = np.array([k.a_of(alpha) for alpha in monomials])
+    exps = np.array([alpha.entries for alpha in monomials])
+    # degree s is numbered starts[s] to starts[s + 1] - 1
+    starts = np.cumsum([0] + [len(level) for level in levels])
+    tgt_block = np.arange(r_tgt)[None, None, :]
+
+    m = starts[-1] * r_tgt
+    r = np.zeros((m, m), dtype=complex)
+    for s in range(n_max + 1):
+        reach = [(gamma, ah) for gamma, ah in terms if s + gamma.sum() <= n_max]
+        if not reach:
+            continue
+        c = np.hstack([ah for _, ah in reach])
+        if c.shape[1] < r_src:
+            c = np.linalg.qr(c, mode="r")
+        lo, hi = starts[s] * r_tgt, starts[min(s + band, n_max) + 1] * r_tgt
+        src_block = np.arange(len(c))[None, :, None]
+        per_chunk = max(2 * m * m // (3 * (hi - lo) * len(c)), 1)
+        for first in range(starts[s], starts[s + 1], per_chunk):
+            stop = min(first + per_chunk, starts[s + 1])
+            src = np.arange(first, stop)
+            chunk = np.zeros((len(c) * len(src), hi - lo), dtype=complex)
+            rows = len(c) * np.arange(len(src))[:, None, None] + src_block
+            for i, (gamma, _) in enumerate(reach):
+                tgt = np.array([index[tuple(e)] for e in (exps[first:stop] + gamma).tolist()])
+                f = np.sqrt(a_alpha[src] / a_alpha[tgt])
+                chunk[rows, (tgt * r_tgt - lo)[:, None, None] + tgt_block] = (
+                    f[:, None, None] * c[:, i * r_tgt : (i + 1) * r_tgt]
+                )
+            _fold(r[lo:hi, lo:hi], chunk)
+    return r
+
+
 def fd_by_grading(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> np.ndarray:
     """dim(P_n Ran M_theta) / q_d(n) for n = 0..n_max, from one triangular
     factor.
@@ -238,13 +306,10 @@ def fd_by_grading(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> np
     the rule applied to M_n itself, with the tolerances the series
     records).
 
-    R depends only on M M* = R* R, so it is built without the multiplier.
-    The rows of M* are streamed by source degree, from n_max down to 0, in
-    slabs.  Rows of source degree s vanish outside the target columns of
-    degree >= s, so each slab is folded into R on those trailing columns
-    only, a block of columns at a time.  Slabs and blocks are sized so that
-    a QR input holds about 2 m^2 / 3 entries at most, m = q_d(n_max)
-    rank_delta.
+    R depends only on M M* = R* R, so it is built without the multiplier
+    (_graded_factor): the rows of M* are swept by source degree, 0 to
+    n_max, each degree folded once into a sliding triangle over the target
+    degrees its rows reach, s to s + g for theta of degree g.
 
     Every degree's rank then comes from one shared certificate instead of
     one SVD per degree (_leading_ranks).  The columns S of R whose diagonal
@@ -257,64 +322,32 @@ def fd_by_grading(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> np
     rounding; every other degree, a zero block included, takes the SVD of
     its leading block.  So every rank is the one that SVD gives.
 
-    Peak memory is about four times the 16 m^2 bytes of R, reached while R
-    is streamed.  The certificate stays below that: beside R it holds the
-    inverse of R[S, S] (no larger than R), then |R| (half of R), and the
-    columns outside S.  A request whose R would exceed
-    MAX_FACTOR_BYTES raises SizeLimitExceeded before anything is allocated.
+    Peak memory is 2.5 to 3 times the 16 m^2 bytes of R (m = q_d(n_max)
+    rank_delta; traced on the graded-fd benchmark requests).  Building R
+    holds R, a chunk of rows of at most 2 m^2 / 3 entries and the fold's
+    temporaries; the certificate holds beside R the inverse of R[S, S] (no
+    larger than R), then |R| (half of R), and the columns outside S.  A
+    request whose R would exceed MAX_FACTOR_BYTES raises SizeLimitExceeded
+    before anything is allocated.
     A zero defect rank leaves Ran M_theta = 0 and gives zeros; a negative
     n_max raises ValueError."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > k.N:
         raise HorizonExceeded(f"n_max = {n_max} beyond kernel horizon {k.N}")
-    r_tgt, r_src = series.rank_delta, series.rank_d
-    m = q(k.d, n_max) * r_tgt
+    m = q(k.d, n_max) * series.rank_delta
     if 16 * m * m > MAX_FACTOR_BYTES:
         raise SizeLimitExceeded(
             f"grading to n_max = {n_max} needs a {m} x {m} triangular factor "
             f"({16 * m * m / 2**20:.0f} MiB), over the limit of "
             f"{MAX_FACTOR_BYTES / 2**20:.0f} MiB"
         )
-    # a zero defect rank leaves every coefficient empty, so no terms
-    terms = [(np.array(key), a.conj().T) for key, a in series.coeffs.items() if np.any(a)]
-    if not terms:
+    # a zero defect rank leaves every coefficient empty
+    if not any(np.any(a) for a in series.coeffs.values()):
         return np.zeros(n_max + 1)
-
-    levels = [enumerate_degree(k.d, s) for s in range(n_max + 1)]
-    monomials = [alpha for level in levels for alpha in level]
-    index = {alpha.entries: i for i, alpha in enumerate(monomials)}
-    a_alpha = np.array([k.a_of(alpha) for alpha in monomials])
-    exps = np.array([alpha.entries for alpha in monomials])
-    starts = np.cumsum([0] + [len(level) for level in levels])
-    src_block = np.arange(r_src)[None, :, None]
-    tgt_block = np.arange(r_tgt)[None, None, :]
-
-    # slabs of at most `limits` rows (or one monomial), merged `limits`
-    # columns at a time: a QR input holds about 2 m^2 / 3 entries at most
-    widths = m - starts[:-1] * r_tgt
-    limits = np.clip(m * m // (3 * widths), 1, widths)
-    r = np.zeros((m, m), dtype=complex)
-    for slab in _slabs(starts, r_src, limits):
-        low = slab[-1][0]
-        lo = starts[low] * r_tgt
-        buf = np.zeros((r_src * sum(stop - first for _, first, stop in slab), m - lo),
-                       dtype=complex)
-        top = 0
-        for s, first, stop in slab:
-            src = np.arange(first, stop)
-            rows = top + r_src * np.arange(len(src))[:, None, None] + src_block
-            top += r_src * len(src)
-            for gamma, ah in terms:
-                if s + gamma.sum() > n_max:
-                    continue
-                tgt = np.array([index[tuple(e)] for e in (exps[first:stop] + gamma).tolist()])
-                f = np.sqrt(a_alpha[src] / a_alpha[tgt])
-                buf[rows, (tgt * r_tgt - lo)[:, None, None] + tgt_block] = f[:, None, None] * ah
-        _merge(r[lo:, lo:], buf, limits[low])
-
-    # starts[n + 1] = q_d(n), the number of monomials of degree <= n
-    return _leading_ranks(r, starts[1:] * r_tgt, series.tol.eps_rank) / starts[1:]
+    counts = np.array([q(k.d, n) for n in range(n_max + 1)])
+    r = _graded_factor(series, k, n_max)
+    return _leading_ranks(r, counts * series.rank_delta, series.tol.eps_rank) / counts
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ of each degree from the degree below and takes the spectral norm of each.
 fd_by_grading_reference is the per-degree graded dimension: for each n it
 builds the multiplier truncated to degree n and takes the numerical rank of
 that whole matrix.  cnpcurv.fibredim.fd_by_grading reads every degree's
-rank off a leading block of one streamed triangular factor instead, which
-agrees only because a source monomial never lowers the degree.
+rank off a leading block of one triangular factor instead, built in a
+banded sweep over source degrees, which agrees only because a source
+monomial never lowers the degree.
 
 profile_from_series builds the degree profile the way the library did
 before it read the sigma traces: c_n sums trace(A_gamma A_gamma*) over the

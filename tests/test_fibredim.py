@@ -13,6 +13,8 @@ from cnpcurv.errors import NotPure, SizeLimitExceeded
 from cnpcurv.config import DEFAULT
 from cnpcurv.fibredim import (
     MAX_FACTOR_BYTES,
+    _fold,
+    _graded_factor,
     _leading_ranks,
     _numerical_ranks,
     fd_by_grading,
@@ -20,6 +22,8 @@ from cnpcurv.fibredim import (
     innermult_consistency,
 )
 from cnpcurv.pipeline import RunSettings, run_curvature
+from cnpcurv.traces import multiplier_matrix
+from cnpcurv.tuples import default_horizon
 
 from conftest import (
     jordan_block,
@@ -218,6 +222,72 @@ class TestGradedRoute:
         assert fd_by_grading(series, k, 0)[0] == 0.0
 
 
+def _degree_slices(d, r, n_max):
+    """The rows (or columns) of each degree 0..n_max of the target space."""
+    return [slice((q(d, n - 1) if n else 0) * r, q(d, n) * r) for n in range(n_max + 1)]
+
+
+class TestGradedFactor:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+           regime=st.sampled_from(["band", "whole", "tall"]))
+    def test_factor_of_the_multiplier_gram(self, seed, d, regime):
+        # band: theta's degree g below n_max; whole: g >= n_max, so the
+        # window is all of R from degree 0 on; tall: rank_d so large that
+        # a degree's rows outnumber the window's columns
+        rng = np.random.default_rng(seed)
+        names = ("szego",) * (d == 1) + ("drury-arveson", "dirichlet", "custom")
+        k = _kernel(names[rng.integers(len(names))], d)
+        degree = int(rng.integers(0 if regime == "band" else 1, 4 - d // 2))
+        if regime == "whole":
+            n_max = int(rng.integers(0, degree + 1))
+        else:
+            n_max = degree + int(rng.integers(1, 8 - d))
+        r_tgt = int(rng.integers(1, 4))
+        r_src = int(rng.integers(8, 13)) if regime == "tall" else int(rng.integers(1, 5))
+        while q(d, n_max) * max(r_tgt, r_src) > 240:
+            n_max -= 1
+        coeffs = _random_coeffs(rng, k, r_tgt, r_src, degree)
+        series = _series(k, coeffs)
+        band = min(max(sum(key) for key, a in coeffs.items() if np.any(a)), n_max)
+
+        r = _graded_factor(series, k, n_max)
+        assert not np.any(np.tril(r, -1))
+        degrees = _degree_slices(d, r_tgt, n_max)
+        for t, rows in enumerate(degrees):
+            assert not np.any(r[rows, degrees[min(t + band, n_max)].stop :])
+        m = multiplier_matrix(k, coeffs, n_max, n_max)
+        gram = m @ m.conj().T
+        assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+        assert np.array_equal(
+            fd_by_grading(series, k, n_max), fd_by_grading_reference(series, k, n_max)
+        )
+
+    @pytest.mark.parametrize("height", [20, 90])
+    def test_fold_keeps_zero_rows(self, height):
+        # rows 3 and 40 of t are zero, as for degrees entering the window;
+        # column 3 is zero throughout, so row 3 must stay exactly zero,
+        # while row 40 takes what the rows bring to column 40.  Column 5 is
+        # zero but for a real diagonal, so its reflector is the identity
+        # and row 5 stays as it was.  Rows fewer and more than t's
+        # columns, over 3 panels
+        rng = np.random.default_rng(height)
+        n = 70
+        t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        rows = rng.standard_normal((height, n)) + 1j * rng.standard_normal((height, n))
+        t[[3, 40]] = 0
+        t[:, 3] = rows[:, 3] = 0
+        t[:, 5] = rows[:, 5] = 0
+        t[5, 5] = 2.0
+        row5 = t[5].copy()
+        gram = t.conj().T @ t + rows.conj().T @ rows
+        _fold(t, rows)
+        assert not np.any(np.tril(t, -1))
+        assert not np.any(t[3]) and t[40, 40] != 0
+        assert np.array_equal(t[5], row5)
+        assert np.linalg.norm(t.conj().T @ t - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
 # multiples of eps_rank sigma_1 planted as singular values or residuals: two
 # on each side of the threshold, and the threshold itself, where rounding
 # decides what an SVD counts
@@ -267,6 +337,17 @@ def svd_calls(monkeypatch):
     return calls
 
 
+# (d, top degree, n_max, kernel) of the graded-fd benchmark requests: fd on
+# the 0.4-scaled shift on polynomials of degree < top in d variables
+_BENCHMARK_SHAPES = [
+    (2, 2, 12, "drury-arveson"), (2, 2, 12, "dirichlet"),
+    (2, 3, 12, "drury-arveson"), (2, 3, 12, "dirichlet"),
+    (2, 4, 10, "drury-arveson"), (2, 4, 8, "dirichlet"),
+    (3, 2, 8, "drury-arveson"), (3, 2, 8, "dirichlet"),
+    (3, 3, 5, "drury-arveson"), (3, 3, 5, "dirichlet"),
+]
+
+
 class TestLeadingRanks:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), r_tgt=st.integers(1, 3),
@@ -288,14 +369,19 @@ class TestLeadingRanks:
         assert list(_leading_ranks(r, [1, 2, 3], DEFAULT.eps_rank)) == [1, 1, 2]
         assert len(svd_calls) == 1
 
-    def test_default_grading_takes_no_svd(self, svd_calls):
-        # every degree of a 0.4-scaled d = 2 shift is decided by the bounds
-        k = cc.preset("drury-arveson", d=2, N=14)
-        t = cc.load_tuple([0.4 * m for m in truncated_shift_ops(2, 3)])
+    @pytest.mark.parametrize("d,top,n_max,name", _BENCHMARK_SHAPES)
+    def test_default_grading_takes_no_svd(self, svd_calls, d, top, n_max, name):
+        # every degree of a 0.4-scaled shift, conjugated by a fixed unitary,
+        # is decided by the bounds: an R whose unpivoted diagonal hides an
+        # independent column would send a degree to the SVD
+        k = cc.preset(name, d=d, N=14)
+        ops = truncated_shift_ops(d, top)
+        u = random_unitary(np.random.default_rng(2024), len(ops[0]))
+        t = cc.load_tuple([0.4 * u @ m @ u.conj().T for m in ops])
         pkg, series = build(t, k)
-        expected = fd_by_grading_reference(series, k, 12)
+        expected = fd_by_grading_reference(series, k, n_max)
         svd_calls.clear()
-        assert np.array_equal(fd_by_grading(series, k, 12), expected)
+        assert np.array_equal(fd_by_grading(series, k, n_max), expected)
         assert svd_calls == []
 
     def test_peak_memory_with_the_inverse(self):
@@ -313,6 +399,36 @@ class TestLeadingRanks:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 16 * m * m
+
+
+class TestDirectSum:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+           name=st.sampled_from(["szego", "drury-arveson", "dirichlet", "custom"]))
+    def test_graded_dims_add(self, seed, d, name):
+        # theta of T + S is theta_T + theta_S at a common horizon, so every
+        # h(n) = dim P_n Ran M_theta adds exactly
+        if name == "szego" and d > 1:
+            name = "drury-arveson"
+        rng = np.random.default_rng(seed)
+        structures = {1: [("jordan", 1, None)], 2: [("shift", 2, 2), ("shift", 2, 3)],
+                      3: [("shift", 3, 2)]}[d]
+        pair = [random_nilpotent_tuple(rng, structures[rng.integers(len(structures))])
+                for _ in range(2)]
+        total = cc.load_tuple([
+            np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
+            for a, b in zip(pair[0].ops, pair[1].ops)
+        ])
+        horizon = max(default_horizon(t) for t in pair)
+        k = _kernel(name, d, n=12)
+        n_max = {1: 8, 2: 5, 3: 4}[d]
+        counts = np.array([q(d, n) for n in range(n_max + 1)])
+
+        def h(t):
+            _, series = build(t, k, n_op=horizon, n_theta=horizon)
+            return np.rint(fd_by_grading(series, k, n_max) * counts).astype(int)
+
+        assert np.array_equal(h(total), h(pair[0]) + h(pair[1]))
 
 
 class TestInnermult:
