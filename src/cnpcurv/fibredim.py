@@ -108,7 +108,10 @@ def _fold(t: np.ndarray, rows: np.ndarray) -> None:
     """Overwrite the square upper triangular t, in place, with a triangular
     factor of [t ; rows]; rows is overwritten too.
 
-    Householder QR that keeps t's structure: the reflector of column j
+    A t of at most four panels takes one np.linalg.qr of [t ; rows], where
+    the call overhead of the panels would outweigh the flops they save.
+    Larger ones take a Householder QR that keeps t's structure: the
+    reflector of column j
     mixes row j of t with `rows` and no other row of t, so its vector is
     e_j over t and v_j over rows, and the rows of t stay the pivot rows.
     _PANEL columns at a time, the panel's triangle and rows go to
@@ -120,6 +123,9 @@ def _fold(t: np.ndarray, rows: np.ndarray) -> None:
     reflector that is the identity: its row of T* V* B is set to zero, so
     its row of t stays as it was, a zero row included."""
     n = t.shape[1]
+    if n <= 4 * _PANEL:
+        t[...] = np.linalg.qr(np.vstack([t, rows]), mode="r")
+        return
     for j in range(0, n, _PANEL):
         e = min(j + _PANEL, n)
         h, tau = np.linalg.qr(np.vstack([t[j:e, j:e], rows[:, j:e]]), mode="raw")
@@ -243,19 +249,19 @@ def _graded_factor(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> n
     past degree t + g.
 
     The rows of source monomial beta are C D_beta: C = [A_gamma*] over the
-    gamma with s + |gamma| <= n_max, side by side, and D_beta scales block
-    gamma by sqrt(a_beta / a_(beta+gamma)) and places it on the columns of
-    beta + gamma.  When C has fewer columns than rows, its triangular
-    factor replaces it, which leaves every (C D_beta)* (C D_beta), and so
-    R* R, as it was.  A degree's rows are built and folded (_fold) in
+    gamma with s + |gamma| <= n_max, side by side and by degree, and D_beta
+    scales block gamma by sqrt(a_beta / a_(beta+gamma)) and places it on
+    the columns of beta + gamma.  C is a leading block of the columns of
+    the C of degree 0, so when C has fewer columns than rows, the same
+    leading block of the triangular factor of that one matrix replaces it.
+    That leaves every (C D_beta)* (C D_beta), and so R* R, as it was.  A
+    degree's rows are built and folded (_fold) in
     chunks of whole source monomials, of about 2 m^2 / 3 entries at most
     (m = q_d(n_max) rank_delta), or one monomial.  The fold never factors
     a chunk on its own: the window's zero rows stay the pivot rows, so a
     column with nothing below it keeps an exactly zero row of R, which
     _leading_ranks reads."""
     r_tgt, r_src = series.rank_delta, series.rank_d
-    terms = [(np.array(key), a.conj().T) for key, a in series.coeffs.items() if np.any(a)]
-    band = min(max(int(gamma.sum()) for gamma, _ in terms), n_max)
     levels = [enumerate_degree(k.d, s) for s in range(n_max + 1)]
     monomials = [alpha for level in levels for alpha in level]
     index = {alpha.entries: i for i, alpha in enumerate(monomials)}
@@ -263,31 +269,39 @@ def _graded_factor(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> n
     exps = np.array([alpha.entries for alpha in monomials])
     # degree s is numbered starts[s] to starts[s + 1] - 1
     starts = np.cumsum([0] + [len(level) for level in levels])
-    tgt_block = np.arange(r_tgt)[None, None, :]
-
     m = starts[-1] * r_tgt
     r = np.zeros((m, m), dtype=complex)
+
+    nonzero = [key for key, a in series.coeffs.items() if np.any(a)]
+    band = min(max(map(sum, nonzero)), n_max)
+    # the coefficients by degree, up to n_max: those that a source monomial
+    # of degree s reaches, |gamma| <= n_max - s, come first
+    keys = sorted((key for key in nonzero if sum(key) <= n_max), key=sum)
+    if not keys:
+        return r
+    gammas = np.array(keys)
+    degrees = gammas.sum(axis=1)
+    # C of degree 0 and its triangular factor: the first K columns of the
+    # factor, on its first K rows, have the Gram matrix of the first K of C
+    c = np.hstack([series.coeffs[key].conj().T for key in keys]).reshape(r_src, len(keys), r_tgt)
+    c_factor = np.linalg.qr(c.reshape(r_src, -1), mode="r").reshape(-1, len(keys), r_tgt)
     for s in range(n_max + 1):
-        reach = [(gamma, ah) for gamma, ah in terms if s + gamma.sum() <= n_max]
-        if not reach:
+        reach = np.searchsorted(degrees, n_max - s, side="right")
+        if reach == 0:
             continue
-        c = np.hstack([ah for _, ah in reach])
-        if c.shape[1] < r_src:
-            c = np.linalg.qr(c, mode="r")
+        rows_of = c_factor[: reach * r_tgt] if reach * r_tgt < r_src else c
+        height = len(rows_of)
         lo, hi = starts[s] * r_tgt, starts[min(s + band, n_max) + 1] * r_tgt
-        src_block = np.arange(len(c))[None, :, None]
-        per_chunk = max(2 * m * m // (3 * (hi - lo) * len(c)), 1)
+        per_chunk = max(2 * m * m // (3 * (hi - lo) * height), 1)
         for first in range(starts[s], starts[s + 1], per_chunk):
             stop = min(first + per_chunk, starts[s + 1])
-            src = np.arange(first, stop)
-            chunk = np.zeros((len(c) * len(src), hi - lo), dtype=complex)
-            rows = len(c) * np.arange(len(src))[:, None, None] + src_block
-            for i, (gamma, _) in enumerate(reach):
-                tgt = np.array([index[tuple(e)] for e in (exps[first:stop] + gamma).tolist()])
-                f = np.sqrt(a_alpha[src] / a_alpha[tgt])
-                chunk[rows, (tgt * r_tgt - lo)[:, None, None] + tgt_block] = (
-                    f[:, None, None] * c[:, i * r_tgt : (i + 1) * r_tgt]
-                )
+            sums = (exps[first:stop, None] + gammas[None, :reach]).reshape(-1, k.d).tolist()
+            tgt = np.array([index[tuple(e)] for e in sums]).reshape(stop - first, reach)
+            f = np.sqrt(a_alpha[first:stop, None] / a_alpha[tgt])
+            rows = height * np.arange(stop - first)[:, None, None, None] + np.arange(height)[:, None, None]
+            cols = (tgt * r_tgt - lo)[:, None, :, None] + np.arange(r_tgt)
+            chunk = np.zeros((height * (stop - first), hi - lo), dtype=complex)
+            chunk[rows, cols] = f[:, None, :, None] * rows_of[:, :reach]
             _fold(r[lo:hi, lo:hi], chunk)
     return r
 
@@ -322,13 +336,13 @@ def fd_by_grading(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> np
     rounding; every other degree, a zero block included, takes the SVD of
     its leading block.  So every rank is the one that SVD gives.
 
-    Peak memory is 2.5 to 3 times the 16 m^2 bytes of R (m = q_d(n_max)
-    rank_delta; traced on the graded-fd benchmark requests).  Building R
-    holds R, a chunk of rows of at most 2 m^2 / 3 entries and the fold's
-    temporaries; the certificate holds beside R the inverse of R[S, S] (no
-    larger than R), then |R| (half of R), and the columns outside S.  A
-    request whose R would exceed MAX_FACTOR_BYTES raises SizeLimitExceeded
-    before anything is allocated.
+    Peak memory is about 2.5 times the 16 m^2 bytes of R (m = q_d(n_max)
+    rank_delta; 2.45 to 2.56 traced on the graded-fd benchmark requests).
+    Building R holds R, a chunk of rows of at most 2 m^2 / 3 entries and
+    the fold's temporaries; the certificate holds beside R the inverse of
+    R[S, S] (no larger than R), then |R| (half of R), and the columns
+    outside S.  A request whose R would exceed MAX_FACTOR_BYTES raises
+    SizeLimitExceeded before anything is allocated.
     A zero defect rank leaves Ran M_theta = 0 and gives zeros; a negative
     n_max raises ValueError."""
     if n_max < 0:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cnpcurv as cc
+from cnpcurv import fibredim
 from cnpcurv.charfn import CharacteristicSeries
 from cnpcurv.comb import enumerate_up_to_degree, q
 from cnpcurv.curvature import DegreeProfile, ordering_rows
@@ -230,11 +231,12 @@ def _degree_slices(d, r, n_max):
 class TestGradedFactor:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
-           regime=st.sampled_from(["band", "whole", "tall"]))
-    def test_factor_of_the_multiplier_gram(self, seed, d, regime):
+           regime=st.sampled_from(["band", "whole", "tall"]), panel=st.sampled_from([4, 32]))
+    def test_factor_of_the_multiplier_gram(self, seed, d, regime, panel):
         # band: theta's degree g below n_max; whole: g >= n_max, so the
         # window is all of R from degree 0 on; tall: rank_d so large that
-        # a degree's rows outnumber the window's columns
+        # a degree's rows outnumber the window's columns.  Panels of 4
+        # columns send every window wider than 16 to the structured fold
         rng = np.random.default_rng(seed)
         names = ("szego",) * (d == 1) + ("drury-arveson", "dirichlet", "custom")
         k = _kernel(names[rng.integers(len(names))], d)
@@ -251,7 +253,10 @@ class TestGradedFactor:
         series = _series(k, coeffs)
         band = min(max(sum(key) for key, a in coeffs.items() if np.any(a)), n_max)
 
-        r = _graded_factor(series, k, n_max)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fibredim, "_PANEL", panel)
+            r = _graded_factor(series, k, n_max)
+            graded = fd_by_grading(series, k, n_max)
         assert not np.any(np.tril(r, -1))
         degrees = _degree_slices(d, r_tgt, n_max)
         for t, rows in enumerate(degrees):
@@ -259,20 +264,18 @@ class TestGradedFactor:
         m = multiplier_matrix(k, coeffs, n_max, n_max)
         gram = m @ m.conj().T
         assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
-        assert np.array_equal(
-            fd_by_grading(series, k, n_max), fd_by_grading_reference(series, k, n_max)
-        )
+        assert np.array_equal(graded, fd_by_grading_reference(series, k, n_max))
 
-    @pytest.mark.parametrize("height", [20, 90])
-    def test_fold_keeps_zero_rows(self, height):
+    @pytest.mark.parametrize("n,height", [(70, 20), (150, 40), (150, 200)])
+    def test_fold_keeps_zero_rows(self, n, height):
         # rows 3 and 40 of t are zero, as for degrees entering the window;
         # column 3 is zero throughout, so row 3 must stay exactly zero,
         # while row 40 takes what the rows bring to column 40.  Column 5 is
         # zero but for a real diagonal, so its reflector is the identity
-        # and row 5 stays as it was.  Rows fewer and more than t's
-        # columns, over 3 panels
-        rng = np.random.default_rng(height)
-        n = 70
+        # and row 5 stays as it was.  A 70-column t takes one dense QR;
+        # 150 columns take the structured fold over 5 panels, with fewer
+        # and with more rows than columns
+        rng = np.random.default_rng(n + height)
         t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         rows = rng.standard_normal((height, n)) + 1j * rng.standard_normal((height, n))
         t[[3, 40]] = 0
