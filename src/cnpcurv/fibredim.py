@@ -111,13 +111,12 @@ def _fold(t: np.ndarray, rows: np.ndarray) -> None:
     A t of at most four panels takes one np.linalg.qr of [t ; rows], where
     the call overhead of the panels would outweigh the flops they save.
     Larger ones take a Householder QR that keeps t's structure: the
-    reflector of column j
-    mixes row j of t with `rows` and no other row of t, so its vector is
-    e_j over t and v_j over rows, and the rows of t stay the pivot rows.
-    _PANEL columns at a time, the panel's triangle and rows go to
-    np.linalg.qr (mode "raw", which returns the v_j and the scalars tau_j),
-    and the block reflector I - V T V* with V = [I ; v] updates the
-    trailing columns at once.  T is upper triangular with T^-1 = strict
+    reflector of column j mixes row j of t with `rows` and no other row of
+    t, so its vector is e_j over t and v_j over rows, and the rows of t
+    stay the pivot rows.  _PANEL columns at a time, the panel's triangle
+    and rows go to np.linalg.qr (mode "raw", which returns the v_j and the
+    scalars tau_j), and the block reflector I - V T V* with V = [I ; v]
+    updates the trailing columns at once.  T is upper triangular with T^-1 = strict
     upper part of v* v + diag(1 / tau).  A column with nothing to move
     (a zero column under a real diagonal) gets tau_j = 0 and v_j = 0, a
     reflector that is the identity: its row of T* V* B is set to zero, so
@@ -254,13 +253,14 @@ def _graded_factor(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> n
     the columns of beta + gamma.  C is a leading block of the columns of
     the C of degree 0, so when C has fewer columns than rows, the same
     leading block of the triangular factor of that one matrix replaces it.
-    That leaves every (C D_beta)* (C D_beta), and so R* R, as it was.  A
-    degree's rows are built and folded (_fold) in
-    chunks of whole source monomials, of about 2 m^2 / 3 entries at most
-    (m = q_d(n_max) rank_delta), or one monomial.  The fold never factors
-    a chunk on its own: the window's zero rows stay the pivot rows, so a
-    column with nothing below it keeps an exactly zero row of R, which
-    _leading_ranks reads."""
+    That leaves every (C D_beta)* (C D_beta), and so R* R, as it was.
+
+    A degree's rows are built and folded (_fold) in chunks of whole source
+    monomials, of about 2 m^2 / 3 entries at most (m = q_d(n_max)
+    rank_delta), or one monomial.  The fold never factors a chunk on its
+    own: the window's zero rows stay the pivot rows, so a column with
+    nothing below it keeps an exactly zero row of R, which _leading_ranks
+    reads."""
     r_tgt, r_src = series.rank_delta, series.rank_d
     levels = [enumerate_degree(k.d, s) for s in range(n_max + 1)]
     monomials = [alpha for level in levels for alpha in level]
@@ -289,8 +289,8 @@ def _graded_factor(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> n
         reach = np.searchsorted(degrees, n_max - s, side="right")
         if reach == 0:
             continue
-        rows_of = c_factor[: reach * r_tgt] if reach * r_tgt < r_src else c
-        height = len(rows_of)
+        c_s = c_factor[: reach * r_tgt] if reach * r_tgt < r_src else c
+        height = len(c_s)
         lo, hi = starts[s] * r_tgt, starts[min(s + band, n_max) + 1] * r_tgt
         per_chunk = max(2 * m * m // (3 * (hi - lo) * height), 1)
         for first in range(starts[s], starts[s + 1], per_chunk):
@@ -301,7 +301,7 @@ def _graded_factor(series: CharacteristicSeries, k: KernelSpec, n_max: int) -> n
             rows = height * np.arange(stop - first)[:, None, None, None] + np.arange(height)[:, None, None]
             cols = (tgt * r_tgt - lo)[:, None, :, None] + np.arange(r_tgt)
             chunk = np.zeros((height * (stop - first), hi - lo), dtype=complex)
-            chunk[rows, cols] = f[:, None, :, None] * rows_of[:, :reach]
+            chunk[rows, cols] = f[:, None, :, None] * c_s[:, :reach]
             _fold(r[lo:hi, lo:hi], chunk)
     return r
 
