@@ -89,11 +89,7 @@ class DegreeProfile:
         if traces is None:
             traces = purity(t, k, pkg, n_traces=n_theta).traces
         b = k.b[1 : pkg.n_op + 1]
-        at = np.zeros(n_theta + 1)
-        at[0] = 1.0
-        for m in range(1, n_theta + 1):
-            j = min(m, len(b))
-            at[m] = np.dot(b[:j], at[m - j : m][::-1])
+        at = k.a_truncated(pkg.n_op, n_theta)
         g = at**2 * traces[: n_theta + 1] / np.array([q(k.d - 1, m) for m in range(n_theta + 1)])
         c = -np.convolve(np.concatenate(([1.0], -b)), g)[: n_theta + 1]
         c[0] += pkg.rank_delta

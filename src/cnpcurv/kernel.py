@@ -130,6 +130,18 @@ class KernelSpec:
         self._check_degree(m)
         return float(np.sum(self.b[1 : m + 1]))
 
+    def a_truncated(self, n_op: int, n: int) -> np.ndarray:
+        """Coefficients 0..n of the reciprocal series of 1 - k_N(x), with
+        k_N(x) = sum_{1<=j<=n_op} b_j x^j: a_m for m <= n_op.  They run from
+        the b-recurrence, which reads no b_j past n_op, so n may pass N."""
+        b = self.b[1 : n_op + 1]
+        at = np.zeros(n + 1)
+        at[0] = 1.0
+        for m in range(1, n + 1):
+            j = min(m, len(b))
+            at[m] = np.dot(b[:j], at[m - j : m][::-1])
+        return at
+
     def b_is_zero_beyond(self, m: int) -> bool:
         """True when b_n = 0 for all n > m is structurally certified."""
         return self.b_support_bound is not None and self.b_support_bound <= m

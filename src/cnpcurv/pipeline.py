@@ -54,8 +54,9 @@ class PipelineResult:
     """One run of tuple t over kernel k under settings.
 
     One sigma walk sums the purity series and gives the traces of the degree
-    profile, which every scalar route reads.  The Taylor series serves only
-    the graded fibre dimension and the polynomial state."""
+    profile, which every scalar route reads.  The graded fibre dimension
+    walks sigma on factors of its own, and the Taylor series serves only the
+    polynomial state."""
 
     def __init__(self, t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()):
         self.t, self.k, self.settings = t, k, settings
@@ -86,7 +87,7 @@ class PipelineResult:
         """The evaluation rank over n_samples points of the given radius and
         seed, with the graded dimensions up to settings.n_max."""
         rep = fd_report(self.pkg, self.k, n_samples, radius, seed, self.purity.purity_residual)
-        graded = fd_by_grading(self.series, self.k, self.settings.n_max)
+        graded = fd_by_grading(self.t, self.pkg, self.k, self.settings.n_max)
         return replace(
             rep,
             graded_dims=graded,

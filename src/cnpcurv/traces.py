@@ -3,9 +3,8 @@
 The ambient space is span{eps_beta (x) e_j : |beta| <= max_degree, j < r}
 where eps_beta = sqrt(a_beta) z^beta is the orthonormal monomial basis for
 the kernel's norms.  No library code builds this matrix:
-fibredim.fd_by_grading builds the triangular factor of M_phi* instead, in
-one ascending sweep over source degrees, each folded once into a sliding
-triangle on the target degrees its rows reach.
+fibredim.fd_by_grading counts the graded ranks of M_theta on dimH x dimH
+factors of the sigma walk instead.
 It serves the tests as an oracle, and it stays in the library because
 perfbench/tracer.py names multiplier_matrix.
 """

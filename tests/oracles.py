@@ -21,11 +21,14 @@ ran before it kept only the pure powers (T_i/c)^k: it builds every T^alpha
 of each degree from the degree below and takes the spectral norm of each.
 
 fd_by_grading_reference is the per-degree graded dimension: for each n it
-builds the multiplier truncated to degree n and takes the numerical rank of
-that whole matrix.  cnpcurv.fibredim.fd_by_grading reads every degree's
-rank off a leading block of one triangular factor instead, built in a
-banded sweep over source degrees, which agrees only because a source
-monomial never lowers the degree.
+builds the multiplier truncated to degree n from the Taylor series and
+takes the numerical rank of that whole matrix.  cnpcurv.fibredim.fd_by_grading
+forms neither: it counts the singular values of dimH x dimH factors of
+I - p_n from the sigma walk, which agrees only because M_theta M_theta* =
+I - L L* and L* P_n L = p_n.  Where a truncated multiplier is rounding noise
+(the low degrees of a Jordan block conjugated by a unitary) the reference's
+relative rank rule counts the noise as full rank, so the two are compared
+only where no truncated multiplier is rounding noise.
 
 profile_from_series builds the degree profile the way the library did
 before it read the sigma traces: c_n sums trace(A_gamma A_gamma*) over the

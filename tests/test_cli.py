@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cnpcurv.cli import EXIT_CODES, main
+from cnpcurv.comb import q
 from cnpcurv.formats import dumps_json17, load_tuple_json
 from cnpcurv.errors import ShapeError
 
@@ -385,14 +386,16 @@ class TestFdCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: ValueError: radius must lie in (0, 1)\n"
 
-    def test_grading_size_limit_exit_code(self, tmp_path, capsys):
-        # d = 3, dimH 10: grading to degree 12 needs a 4550 x 4550 factor
+    def test_grading_reports_the_hilbert_polynomial(self, tmp_path, capsys):
+        # d = 3, dimH 10, nilpotent of degree 3: h(n) = 10 q_3(n) - 10 from
+        # n = 2 on, where the multiplier's factor would be 4550 x 4550
         f = write_tuple(tmp_path / "s3.json", [0.4 * m for m in truncated_shift_ops(3, 3)])
         start = time.perf_counter()
         rc = main(["fd", "--input", f, "--kernel", "dirichlet", "--max-n", "12"])
         assert time.perf_counter() - start < 10
-        assert rc == EXIT_CODES["SizeLimitExceeded"] == 17
-        assert "SizeLimitExceeded" in capsys.readouterr().err
+        assert rc == 0
+        graded = json.loads(capsys.readouterr().out)["graded_dims"]
+        assert graded[2:] == [(10 * q(3, n) - 10) / q(3, n) for n in range(2, 13)]
 
 
 # a unitary has Delta = 0 and D = 0: rank_delta = rank_d = 0, Ran M_theta = 0

@@ -1,4 +1,6 @@
 """Curvature estimators and their reconciliation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from cnpcurv.curvature import (
     curvature_integral,
     curvature_pure,
     curvature_weighted,
+    reconcile,
     theta_trace_E_normalized,
 )
-from cnpcurv.errors import NotPure, ReconcileFailure
+from cnpcurv.errors import IntegerMismatch, NotPure, ReconcileFailure
 from cnpcurv.pipeline import RunSettings, run_curvature
 
 from conftest import jordan_block, random_nilpotent_tuple, random_unitary
@@ -329,6 +332,44 @@ class TestPipelineAndReconcile:
             res = run_curvature(t, k, RunSettings(n_samples=100, n_max=8))
             assert res.pkg.rank_delta == res.pkg.rank_d
             assert res.report.k_pure == 0
+
+
+class TestGates:
+    """A gate fails just outside its bound and passes at or inside it, on the
+    report of a J_3 run over szego with chosen fields."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        t = cc.load_tuple([jordan_block(3)])
+        return run_curvature(t, cc.preset("szego", d=1, N=16), RunSettings(n_samples=400))
+
+    @pytest.mark.parametrize("gap,raises", [(0.05 * (1 - 1e-9), False), (0.05 * (1 + 1e-9), True)],
+                             ids=["inside", "outside"])
+    def test_integrality(self, run, gap, raises):
+        # a stand-in profile whose one term puts K_series = 1 - gap
+        profile = replace(run.profile, c=np.array([gap]))
+        assert run.series.is_polynomial and run.pkg.rank_delta == 1
+        args = (run.pkg, run.series, profile, 1, 0.0)
+        if raises:
+            with pytest.raises(IntegerMismatch, match="not near an integer"):
+                curvature_pure(*args)
+        else:
+            assert curvature_pure(*args) == 0
+
+    @pytest.mark.parametrize("excess,raises", [(0.0, False), (2e-8, True)], ids=["at-dim", "outside"])
+    def test_range(self, run, excess, raises):
+        # every estimator and the same-radius average sit at dim + excess,
+        # so no check but the range sees a change
+        rep, v = run.report, run.report.dim_ran_delta + excess
+        moved = replace(
+            rep, k_series=v, k_at_radius_exact=v, k_weighted=np.full_like(rep.k_weighted, v),
+            k_integral=replace(rep.k_integral, estimate=v),
+        )
+        if raises:
+            with pytest.raises(ReconcileFailure, match="check range:k_series:"):
+                reconcile(moved, run.series, run.pkg, run.k)
+        else:
+            assert reconcile(moved, run.series, run.pkg, run.k).ok
 
 
 class TestDegenerateCodomain:

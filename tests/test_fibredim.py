@@ -6,28 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cnpcurv as cc
-from cnpcurv import fibredim
-from cnpcurv.charfn import CharacteristicSeries
-from cnpcurv.comb import enumerate_up_to_degree, q
+from cnpcurv.comb import q
 from cnpcurv.curvature import DegreeProfile, ordering_rows
-from cnpcurv.errors import NotPure, SizeLimitExceeded
-from cnpcurv.config import DEFAULT
-from cnpcurv.fibredim import (
-    MAX_FACTOR_BYTES,
-    _fold,
-    _graded_factor,
-    _leading_ranks,
-    _numerical_ranks,
-    fd_by_grading,
-    fd_report,
-    innermult_consistency,
-)
+from cnpcurv.errors import NotPure
+from cnpcurv.fibredim import fd_by_grading, fd_report, innermult_consistency
 from cnpcurv.pipeline import RunSettings, run_curvature
-from cnpcurv.traces import multiplier_matrix
 from cnpcurv.tuples import default_horizon
 
 from conftest import (
     jordan_block,
+    random_commuting_tuple,
     random_nilpotent_tuple,
     random_unitary,
     truncated_shift_ops,
@@ -109,236 +97,12 @@ def _commuting_diagonalisable(rng, d, dim):
     return cc.load_tuple([u @ np.diag(row) @ u.conj().T for row in lam])
 
 
-def _series(k, coeffs):
-    """A characteristic series with the given coefficients A_gamma:
-    fd_by_grading reads nothing else of a series."""
-    rank_delta, rank_d = next(iter(coeffs.values())).shape
-    degree = max(sum(key) for key in coeffs)
-    return CharacteristicSeries(
-        coeffs=coeffs, n_theta=degree, d=k.d, rank_delta=rank_delta, rank_d=rank_d,
-        is_polynomial=True, degree=degree, kernel_fingerprint=k.fingerprint(), tol=DEFAULT,
-    )
-
-
-def _random_coeffs(rng, k, rank_delta, rank_d, degree):
-    """Random A_gamma for |gamma| <= degree, some of them zero, A_0 of rank one."""
-    coeffs = {}
-    for gamma in enumerate_up_to_degree(k.d, degree):
-        a = rng.standard_normal((rank_delta, rank_d)) + 1j * rng.standard_normal((rank_delta, rank_d))
-        if gamma.degree == 0:
-            a = np.outer(a[:, 0], a[0])
-        elif rng.random() < 0.2:
-            a = np.zeros_like(a)
-        coeffs[gamma.entries] = a
-    return coeffs
-
-
 _GRADING_CASES = [
     (kind, d, name)
-    for kind in ("nilpotent", "not-nilpotent", "rank_d<rank_delta", "rank_d>rank_delta")
+    for kind in ("nilpotent", "not-nilpotent")
     for d in (1, 2, 3)
     for name in (("szego",) if d == 1 else ()) + ("drury-arveson", "dirichlet", "custom")
 ]
-
-
-class TestGradedRoute:
-    @pytest.mark.parametrize("kind,d,name", _GRADING_CASES)
-    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(0, 6))
-    def test_leading_blocks_match_per_degree_multipliers(self, kind, d, name, seed, n_max):
-        rng = np.random.default_rng(seed)
-        k = _kernel(name, d)
-        n_max = min(n_max, 7 - d)
-        if kind == "nilpotent":
-            pkg, series = build(random_nilpotent_tuple(rng, _NILPOTENT[d]), k)
-        elif kind == "not-nilpotent":
-            pkg, series = build(_commuting_diagonalisable(rng, d, int(rng.integers(2, 5))), k,
-                                n_op=4 - d, n_theta=4 - d)
-        else:
-            small, large = sorted(rng.choice(np.arange(1, 6), size=2, replace=False))
-            ranks = (large, small) if kind == "rank_d<rank_delta" else (small, large)
-            series = _series(k, _random_coeffs(rng, k, *ranks, degree=int(rng.integers(0, 3))))
-        assert series.rank_delta > 0 and series.rank_d > 0
-        assert np.array_equal(
-            fd_by_grading(series, k, n_max), fd_by_grading_reference(series, k, n_max)
-        )
-
-    def test_jordan_sequence(self):
-        t = cc.load_tuple([jordan_block(3)])
-        k = cc.preset("szego", d=1, N=14)
-        pkg, series = build(t, k)
-        seq = fd_by_grading(series, k, 12)
-        expected = [max(0, n - 2) / (n + 1) for n in range(13)]
-        assert np.allclose(seq, expected)
-
-    def test_zero_tuple_codimension_one(self):
-        t = cc.load_tuple([np.zeros((1, 1))])
-        k = cc.preset("drury-arveson", d=1, N=12)
-        pkg, series = build(t, k, n_op=1, n_theta=1)
-        seq = fd_by_grading(series, k, 10)
-        expected = [n / (n + 1) for n in range(11)]
-        assert np.allclose(seq, expected)
-
-    @pytest.mark.parametrize("rank_delta,rank_d", [(0, 3), (3, 0), (0, 0)])
-    def test_zero_defect_rank_gives_zeros(self, rank_delta, rank_d):
-        k = cc.preset("drury-arveson", d=2, N=6)
-        series = _series(k, {(0, 0): np.zeros((rank_delta, rank_d), dtype=complex)})
-        assert np.array_equal(fd_by_grading(series, k, 6), np.zeros(7))
-
-    def test_size_limit_refused_before_allocating(self):
-        # d = 3, rank_delta 10, n_max 12: R would be 4550 x 4550 (331 MB)
-        k = cc.preset("drury-arveson", d=3, N=12)
-        series = _series(k, {(0, 0, 0): np.ones((10, 30), dtype=complex)})
-        assert 16 * (q(3, 8) * 10) ** 2 <= MAX_FACTOR_BYTES < 16 * (q(3, 12) * 10) ** 2
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeLimitExceeded, match="4550 x 4550"):
-                fd_by_grading(series, k, 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_peak_memory_is_a_few_triangular_factors(self):
-        # the largest graded-fd benchmark request: R is 560 x 560 (5 MB), the
-        # dense multiplier at n_max is 560 x 5040 (45 MB)
-        k = cc.preset("dirichlet", d=3, N=12)
-        t = cc.load_tuple([0.4 * m for m in truncated_shift_ops(3, 3)])
-        pkg, series = build(t, k)
-        m = q(3, 5) * series.rank_delta
-        assert (m, series.rank_d) == (560, 90)
-        tracemalloc.start()
-        try:
-            fd_by_grading(series, k, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 16 * m * m
-
-    def test_degenerate_constant_zero(self):
-        t = cc.load_tuple([jordan_block(3)])
-        k = cc.preset("szego", d=1, N=10)
-        pkg, series = build(t, k)
-        # A_0 vanishes for this tuple, so the degree-0 quotient is 0
-        assert fd_by_grading(series, k, 0)[0] == 0.0
-
-
-def _degree_slices(d, r, n_max):
-    """The rows (or columns) of each degree 0..n_max of the target space."""
-    return [slice((q(d, n - 1) if n else 0) * r, q(d, n) * r) for n in range(n_max + 1)]
-
-
-class TestGradedFactor:
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
-           regime=st.sampled_from(["band", "whole", "tall"]), panel=st.sampled_from([4, 32]))
-    def test_factor_of_the_multiplier_gram(self, seed, d, regime, panel):
-        # band: theta's degree g below n_max; whole: g >= n_max, so the
-        # window is all of R from degree 0 on; tall: rank_d so large that
-        # a degree's rows outnumber the window's columns.  Panels of 4
-        # columns send every window wider than 16 to the structured fold
-        rng = np.random.default_rng(seed)
-        names = ("szego",) * (d == 1) + ("drury-arveson", "dirichlet", "custom")
-        k = _kernel(names[rng.integers(len(names))], d)
-        degree = int(rng.integers(0 if regime == "band" else 1, 4 - d // 2))
-        if regime == "whole":
-            n_max = int(rng.integers(0, degree + 1))
-        else:
-            n_max = degree + int(rng.integers(1, 8 - d))
-        r_tgt = int(rng.integers(1, 4))
-        r_src = int(rng.integers(8, 13)) if regime == "tall" else int(rng.integers(1, 5))
-        while q(d, n_max) * max(r_tgt, r_src) > 240:
-            n_max -= 1
-        coeffs = _random_coeffs(rng, k, r_tgt, r_src, degree)
-        series = _series(k, coeffs)
-        band = min(max(sum(key) for key, a in coeffs.items() if np.any(a)), n_max)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fibredim, "_PANEL", panel)
-            r = _graded_factor(series, k, n_max)
-            graded = fd_by_grading(series, k, n_max)
-        assert not np.any(np.tril(r, -1))
-        degrees = _degree_slices(d, r_tgt, n_max)
-        for t, rows in enumerate(degrees):
-            assert not np.any(r[rows, degrees[min(t + band, n_max)].stop :])
-        m = multiplier_matrix(k, coeffs, n_max, n_max)
-        gram = m @ m.conj().T
-        assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
-        assert np.array_equal(graded, fd_by_grading_reference(series, k, n_max))
-
-    @pytest.mark.parametrize("n,height", [(70, 20), (150, 40), (150, 200)])
-    def test_fold_keeps_zero_rows(self, n, height):
-        # rows 3 and 40 of t are zero, as for degrees entering the window;
-        # column 3 is zero throughout, so row 3 must stay exactly zero,
-        # while row 40 takes what the rows bring to column 40.  Column 5 is
-        # zero but for a real diagonal, so its reflector is the identity
-        # and row 5 stays as it was.  A 70-column t takes one dense QR;
-        # 150 columns take the structured fold over 5 panels, with fewer
-        # and with more rows than columns
-        rng = np.random.default_rng(n + height)
-        t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        rows = rng.standard_normal((height, n)) + 1j * rng.standard_normal((height, n))
-        t[[3, 40]] = 0
-        t[:, 3] = rows[:, 3] = 0
-        t[:, 5] = rows[:, 5] = 0
-        t[5, 5] = 2.0
-        row5 = t[5].copy()
-        gram = t.conj().T @ t + rows.conj().T @ rows
-        _fold(t, rows)
-        assert not np.any(np.tril(t, -1))
-        assert not np.any(t[3]) and t[40, 40] != 0
-        assert np.array_equal(t[5], row5)
-        assert np.linalg.norm(t.conj().T @ t - gram) <= 1e-12 * np.linalg.norm(gram)
-
-
-# multiples of eps_rank sigma_1 planted as singular values or residuals: two
-# on each side of the threshold, and the threshold itself, where rounding
-# decides what an SVD counts
-_PLANTS = (0.3, 0.7, 1.0, 1.5, 3.0)
-
-
-def _planted_factor(rng, m, mode):
-    """An m x m upper triangular factor with singular values, or dropped
-    columns' residuals, at _PLANTS multiples of eps_rank sigma_1.
-
-    spectrum: R of U diag(s) V*, with one to m//2 singular values of order
-    one and a few planted ones.  columns: each column is a random one with
-    an O(1) diagonal, a combination of the earlier columns plus a planted
-    diagonal entry, or a random one with a zero diagonal, which may still be
-    independent of the earlier ones ([[1, 1, 0], [0, 0, 1], [0, 0, 0]])."""
-    eps = DEFAULT.eps_rank
-    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    plant = lambda: rng.choice(_PLANTS) * eps
-    if mode == "spectrum":
-        big = int(rng.integers(1, m // 2 + 2))
-        s = np.zeros(m)
-        s[:big] = np.sort(rng.uniform(0.05, 1.0, big))[::-1]
-        s[0] = 1.0
-        planted = rng.choice(np.arange(big, m), size=min(3, m - big), replace=False)
-        s[planted] = [plant() for _ in planted]
-        u, v = random_unitary(rng, m), random_unitary(rng, m)
-        return np.linalg.qr((u * s) @ v, mode="r")
-    r = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        kind = rng.choice(["free", "dependent", "hidden"], p=[0.5, 0.3, 0.2])
-        if kind == "free" or j == 0:
-            r[: j + 1, j] = cplx(j + 1)
-        elif kind == "dependent":
-            r[:j, j] = r[:j, :j] @ cplx(j)
-            r[j, j] = plant() * np.max(np.abs(r[:j, :j]))
-        else:
-            r[:j, j] = cplx(j)
-    return r
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """One entry per np.linalg.svd call from here on."""
-    calls = []
-    real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    return calls
-
 
 # (d, top degree, n_max, kernel) of the graded-fd benchmark requests: fd on
 # the 0.4-scaled shift on polynomials of degree < top in d variables
@@ -350,58 +114,92 @@ _BENCHMARK_SHAPES = [
     (3, 3, 5, "drury-arveson"), (3, 3, 5, "dirichlet"),
 ]
 
+# unitary tuples: Delta = 0, so Ran M_theta = 0.  The d = 2 pair is a
+# spherical unitary, T_1 T_1* + T_2 T_2* = I
+_UNITARY = {
+    "one": ([np.eye(1)], "szego"),
+    "swap": ([np.array([[0.0, 1.0], [1.0, 0.0]])], "szego"),
+    "sphere": ([np.diag([1.0, 0.0]), np.diag([0.0, 1j])], "drury-arveson"),
+}
 
-class TestLeadingRanks:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), r_tgt=st.integers(1, 3),
-           n_max=st.integers(0, 7), mode=st.sampled_from(["spectrum", "columns"]))
-    def test_matches_an_svd_of_every_leading_block(self, seed, d, r_tgt, n_max, mode):
+
+class TestGradedRoute:
+    @pytest.mark.parametrize("kind,d,name", _GRADING_CASES)
+    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(0, 6))
+    def test_leading_blocks_match_per_degree_multipliers(self, kind, d, name, seed, n_max):
+        # M_n reads only the coefficients of degree <= n, so a series cut
+        # at n_theta >= n_max grades a non-nilpotent tuple exactly
         rng = np.random.default_rng(seed)
-        while q(d, n_max) * r_tgt > 150:
-            n_max -= 1
-        sizes = [q(d, n) * r_tgt for n in range(n_max + 1)]
-        r = _planted_factor(rng, sizes[-1], mode)
-        expected = [_numerical_ranks(r[None, :size, :size], DEFAULT.eps_rank)[0] for size in sizes]
-        assert np.array_equal(_leading_ranks(r, sizes, DEFAULT.eps_rank), expected)
-
-    def test_hidden_rank_takes_the_svd(self, svd_calls):
-        # the last two diagonal entries vanish, yet the third column is
-        # independent of the first two: the bounds decide the first two
-        # blocks, and the candidate rank 1 of the whole is not returned
-        r = np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-        assert list(_leading_ranks(r, [1, 2, 3], DEFAULT.eps_rank)) == [1, 1, 2]
-        assert len(svd_calls) == 1
+        k = _kernel(name, d)
+        n_max = min(n_max, 7 - d)
+        if kind == "nilpotent":
+            t = random_nilpotent_tuple(rng, _NILPOTENT[d])
+            pkg, series = build(t, k)
+        else:
+            t = _commuting_diagonalisable(rng, d, int(rng.integers(2, 5)))
+            pkg, series = build(t, k, n_op=max(n_max, 1), n_theta=max(n_max, 1))
+        assert series.rank_delta > 0 and series.rank_d > 0
+        assert np.array_equal(
+            fd_by_grading(t, pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
+        )
 
     @pytest.mark.parametrize("d,top,n_max,name", _BENCHMARK_SHAPES)
-    def test_default_grading_takes_no_svd(self, svd_calls, d, top, n_max, name):
-        # every degree of a 0.4-scaled shift, conjugated by a fixed unitary,
-        # is decided by the bounds: an R whose unpivoted diagonal hides an
-        # independent column would send a degree to the SVD
+    def test_benchmark_shapes_match_per_degree_multipliers(self, d, top, n_max, name):
         k = cc.preset(name, d=d, N=14)
         ops = truncated_shift_ops(d, top)
         u = random_unitary(np.random.default_rng(2024), len(ops[0]))
         t = cc.load_tuple([0.4 * u @ m @ u.conj().T for m in ops])
         pkg, series = build(t, k)
-        expected = fd_by_grading_reference(series, k, n_max)
-        svd_calls.clear()
-        assert np.array_equal(fd_by_grading(series, k, n_max), expected)
-        assert svd_calls == []
+        assert np.array_equal(
+            fd_by_grading(t, pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
+        )
 
-    def test_peak_memory_with_the_inverse(self):
-        # the largest d = 2 graded-fd request: R is 660 x 660, and the
-        # certificate holds a copy of R[S, S] beside it
-        k = cc.preset("drury-arveson", d=2, N=12)
-        t = cc.load_tuple([0.4 * m for m in truncated_shift_ops(2, 4)])
-        pkg, series = build(t, k)
-        m = q(2, 10) * series.rank_delta
-        assert m == 660
+    def test_jordan_sequence(self):
+        t = cc.load_tuple([jordan_block(3)])
+        k = cc.preset("szego", d=1, N=14)
+        pkg = cc.defect_package(t, k)
+        seq = fd_by_grading(t, pkg, k, 12)
+        expected = [max(0, n - 2) / (n + 1) for n in range(13)]
+        assert np.allclose(seq, expected)
+
+    def test_zero_tuple_codimension_one(self):
+        t = cc.load_tuple([np.zeros((1, 1))])
+        k = cc.preset("drury-arveson", d=1, N=12)
+        pkg = cc.defect_package(t, k, n_op=1)
+        seq = fd_by_grading(t, pkg, k, 10)
+        expected = [n / (n + 1) for n in range(11)]
+        assert np.allclose(seq, expected)
+
+    @pytest.mark.parametrize("name", sorted(_UNITARY))
+    def test_zero_defect_rank_gives_zeros(self, name):
+        ops, kernel = _UNITARY[name]
+        t = cc.load_tuple(ops)
+        k = cc.preset(kernel, d=t.d, N=8)
+        pkg = cc.defect_package(t, k, n_op=1)
+        assert pkg.rank_delta == 0
+        assert np.array_equal(fd_by_grading(t, pkg, k, 6), np.zeros(7))
+
+    def test_peak_memory_of_the_walk(self):
+        # d = 3, dimH 10 to degree 12: the multiplier's triangular factor
+        # would be 4550 x 4550 (331 MB); the walk holds dimH x dimH factors
+        k = cc.preset("drury-arveson", d=3, N=14)
+        t = cc.load_tuple([0.4 * m for m in truncated_shift_ops(3, 3)])
+        pkg = cc.defect_package(t, k)
         tracemalloc.start()
         try:
-            fd_by_grading(series, k, 10)
+            fd_by_grading(t, pkg, k, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 16 * m * m
+        assert peak < 2**20
+
+    def test_degenerate_constant_zero(self):
+        t = cc.load_tuple([jordan_block(3)])
+        k = cc.preset("szego", d=1, N=10)
+        pkg = cc.defect_package(t, k)
+        # A_0 vanishes for this tuple, so the degree-0 quotient is 0
+        assert fd_by_grading(t, pkg, k, 0)[0] == 0.0
 
 
 class TestDirectSum:
@@ -428,10 +226,67 @@ class TestDirectSum:
         counts = np.array([q(d, n) for n in range(n_max + 1)])
 
         def h(t):
-            _, series = build(t, k, n_op=horizon, n_theta=horizon)
-            return np.rint(fd_by_grading(series, k, n_max) * counts).astype(int)
+            pkg = cc.defect_package(t, k, n_op=horizon)
+            return np.rint(fd_by_grading(t, pkg, k, n_max) * counts).astype(int)
 
         assert np.array_equal(h(total), h(pair[0]) + h(pair[1]))
+
+
+class TestUnitaryInvariance:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["jordan", "nilpotent", "commuting"]),
+           name=st.sampled_from(["szego", "drury-arveson", "dirichlet", "custom"]))
+    def test_graded_dims_are_unitary_invariant(self, seed, kind, name):
+        rng = np.random.default_rng(seed)
+        if kind == "jordan":
+            t = cc.load_tuple([jordan_block(int(rng.integers(2, 9)))])
+        elif kind == "nilpotent":
+            t = random_nilpotent_tuple(rng)
+        else:
+            t = random_commuting_tuple(rng, int(rng.integers(1, 4)), int(rng.integers(2, 6)))
+        if name == "szego" and t.d > 1:
+            name = "drury-arveson"
+        k = _kernel(name, t.d, n=14)
+        n_op = None if t.nilpotent_degree else 4
+        n_max = {1: 10, 2: 6, 3: 5}[t.d]
+
+        def graded(s):
+            return fd_by_grading(s, cc.defect_package(s, k, n_op=n_op), k, n_max)
+
+        base = graded(t)
+        for _ in range(2):
+            u = random_unitary(rng, t.dim_h)
+            assert np.array_equal(graded(cc.conjugate_by_unitary(t, u)), base)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 8))
+    def test_conjugated_jordan_closed_form(self, seed, size):
+        # theta = z^size: P_n Ran M_theta is spanned by z^size..z^n.  The
+        # Taylor coefficients below degree size - 1 of U J U* are rounding
+        # noise, which a rank rule relative to each block would count
+        u = random_unitary(np.random.default_rng(seed), size)
+        t = cc.conjugate_by_unitary(cc.load_tuple([jordan_block(size)]), u)
+        k = cc.preset("szego", d=1, N=16)
+        expected = np.array([max(0, n - size + 1) / (n + 1) for n in range(13)])
+        assert np.array_equal(fd_by_grading(t, cc.defect_package(t, k), k, 12), expected)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1),
+           name=st.sampled_from(["szego", "drury-arveson", "dirichlet", "custom"]))
+    def test_nilpotent_hilbert_polynomial(self, seed, name):
+        # h is non-decreasing and from n = nd - 1 on equals r q_d(n) - dimH,
+        # the codimension dimH of the quotient module being constant
+        t = random_nilpotent_tuple(np.random.default_rng(seed))
+        if name == "szego" and t.d > 1:
+            name = "drury-arveson"
+        k = _kernel(name, t.d, n=14)
+        pkg = cc.defect_package(t, k)
+        n_max = {1: 10, 2: 6, 3: 5}[t.d]
+        counts = np.array([q(t.d, n) for n in range(n_max + 1)])
+        h = np.rint(fd_by_grading(t, pkg, k, n_max) * counts).astype(int)
+        nd = t.nilpotent_degree
+        assert np.all(np.diff(h) >= 0)
+        assert np.array_equal(h[nd - 1 :], pkg.rank_delta * counts[nd - 1 :] - t.dim_h)
 
 
 class TestInnermult:

@@ -40,7 +40,8 @@ def stage_calls(monkeypatch):
     "argv,ran,not_ran",
     [
         (["curvature", "--samples", "300"], STAGES + ("profile",), ()),
-        (["fd"], STAGES, ("profile",)),
+        (["fd"], ("defect_package", "purity", "fd_report", "fd_by_grading"),
+         ("taylor", "profile")),
         (["traces"], ("defect_package", "purity", "profile"),
          ("taylor", "fd_report", "fd_by_grading")),
         (["theta", "--point", "0.5", "--taylor", "3"], ("defect_package", "taylor"),
