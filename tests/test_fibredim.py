@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cnpcurv as cc
 from cnpcurv.comb import q
 from cnpcurv.curvature import DegreeProfile, ordering_rows
-from cnpcurv.errors import NotPure
+from cnpcurv.errors import HorizonExceeded, NotPure
 from cnpcurv.fibredim import fd_by_grading, fd_report, innermult_consistency
 from cnpcurv.pipeline import RunSettings, run_curvature
 from cnpcurv.tuples import default_horizon
@@ -114,6 +114,38 @@ _BENCHMARK_SHAPES = [
     (3, 3, 5, "drury-arveson"), (3, 3, 5, "dirichlet"),
 ]
 
+
+def _direct_sum(first, second):
+    return [
+        np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
+        for a, b in zip(first, second)
+    ]
+
+
+_NONNIL_D1 = [np.array([[0.5, 0.2, 0.0], [0.0, 0.3j, 0.1], [0.0, 0.0, -0.2]])]
+
+# fixed tuples graded against the per-degree multipliers: the recorded CLI
+# inputs, non-pure tuples (a joint eigenvalue on the sphere) and
+# nilpotent + non-nilpotent direct sums
+_FIXED_TUPLES = {
+    "jordan-4": [jordan_block(4)],
+    "nonnil-d1": _NONNIL_D1,
+    "diag-1-0": [np.diag([1.0, 0.0]).astype(complex)],
+    "jordan-3x0.5+nonnil-d1": _direct_sum([0.5 * jordan_block(3)], _NONNIL_D1),
+    "shift-d2-top3x0.4": [0.4 * m for m in truncated_shift_ops(2, 3)],
+    "sphere-point-d2": [np.diag([0.6, 0.0]).astype(complex), np.diag([0.8, 0.3]).astype(complex)],
+    "shift-d2-top2x0.4+diag": _direct_sum(
+        [0.4 * m for m in truncated_shift_ops(2, 2)],
+        [np.diag([0.3, 0.1j]), np.diag([-0.2, 0.4])],
+    ),
+}
+
+_FIXED_CASES = [
+    (name, kernel)
+    for name, ops in _FIXED_TUPLES.items()
+    for kernel in (("szego",) if len(ops) == 1 else ("drury-arveson",)) + ("dirichlet", "custom")
+]
+
 # unitary tuples: Delta = 0, so Ran M_theta = 0.  The d = 2 pair is a
 # spherical unitary, T_1 T_1* + T_2 T_2* = I
 _UNITARY = {
@@ -155,6 +187,44 @@ class TestGradedRoute:
             fd_by_grading(t, pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
         )
 
+    @pytest.mark.parametrize("name,kernel", _FIXED_CASES)
+    def test_fixed_tuples_match_per_degree_multipliers(self, name, kernel):
+        t = cc.load_tuple(_FIXED_TUPLES[name])
+        k = _kernel(kernel, t.d, n=14)
+        n_max = {1: 8, 2: 5}[t.d]
+        # a series cut at n_max grades a non-nilpotent tuple exactly
+        n_cut = None if t.nilpotent_degree else n_max
+        pkg, series = build(t, k, n_op=n_cut, n_theta=n_cut)
+        assert np.array_equal(
+            fd_by_grading(t, pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
+        )
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(0, 8), cut=st.integers(0, 8))
+    def test_shorter_sweep_is_a_prefix(self, seed, n_max, cut):
+        # h(n) reads sigma^l(I) for l <= n + n_op only: stopping early
+        # changes no earlier degree
+        rng = np.random.default_rng(seed)
+        t = random_commuting_tuple(rng, int(rng.integers(1, 3)), int(rng.integers(2, 5)))
+        k = cc.preset("drury-arveson", d=t.d, N=10)
+        pkg = cc.defect_package(t, k, n_op=3)
+        cut = min(cut, n_max)
+        assert np.array_equal(
+            fd_by_grading(t, pkg, k, cut), fd_by_grading(t, pkg, k, n_max)[: cut + 1]
+        )
+
+    def test_rejects_negative_degree(self):
+        t = cc.load_tuple([jordan_block(3)])
+        k = cc.preset("szego", d=1, N=10)
+        with pytest.raises(ValueError):
+            fd_by_grading(t, cc.defect_package(t, k), k, -1)
+
+    def test_rejects_degree_past_the_horizon(self):
+        t = cc.load_tuple([jordan_block(3)])
+        k = cc.preset("szego", d=1, N=10)
+        with pytest.raises(HorizonExceeded):
+            fd_by_grading(t, cc.defect_package(t, k), k, 11)
+
     def test_jordan_sequence(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=14)
@@ -170,6 +240,16 @@ class TestGradedRoute:
         seq = fd_by_grading(t, pkg, k, 10)
         expected = [n / (n + 1) for n in range(11)]
         assert np.allclose(seq, expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_tuple_closed_form(self, d, dim):
+        # Delta = I, nilpotent of degree 1: h(n) = dimH q_d(n) - dimH
+        t = cc.load_tuple([np.zeros((dim, dim))] * d)
+        k = cc.preset("drury-arveson", d=d, N=12)
+        pkg = cc.defect_package(t, k, n_op=1)
+        counts = np.array([q(d, n) for n in range(9)])
+        assert np.allclose(fd_by_grading(t, pkg, k, 8), dim * (counts - 1) / counts)
 
     @pytest.mark.parametrize("name", sorted(_UNITARY))
     def test_zero_defect_rank_gives_zeros(self, name):
@@ -216,10 +296,7 @@ class TestDirectSum:
                       3: [("shift", 3, 2)]}[d]
         pair = [random_nilpotent_tuple(rng, structures[rng.integers(len(structures))])
                 for _ in range(2)]
-        total = cc.load_tuple([
-            np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
-            for a, b in zip(pair[0].ops, pair[1].ops)
-        ])
+        total = cc.load_tuple(_direct_sum(pair[0].ops, pair[1].ops))
         horizon = max(default_horizon(t) for t in pair)
         k = _kernel(name, d, n=12)
         n_max = {1: 8, 2: 5, 3: 4}[d]
