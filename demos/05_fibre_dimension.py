@@ -5,8 +5,9 @@ points already pins the fibre dimension; the graded quotients
 dim(P_n Ran M_theta)/q_d(n) approach the same number from below, at a speed
 visible in the tables printed here.  They come from a finite sigma walk on
 the tuple itself: for a nilpotent tuple h(n) = rank_delta q_d(n) - dimH
-once n reaches the nilpotency degree minus one.  Closes with the inner-multiplier chain
-and what slow kernel tails do to it at a finite horizon.
+once n reaches the nilpotency degree minus one.  Closes with the series
+value against fd, as the report's verdict records it, and what slow kernel
+tails do to that comparison at a finite horizon.
 """
 import numpy as np
 
@@ -51,23 +52,29 @@ print(f"fd = {rep0.fd_eval}  (theta(z) = z·I_3 has full row rank off the origin
 
 print()
 print("=" * 72)
-print("3. The inner-multiplier chain, and finite-horizon honesty")
+print("3. Series value against fd: a finite-horizon check, recorded only")
 print("=" * 72)
 
+
+def finite_horizon_check(res):
+    """The reconcile check comparing trace dPsi with fd_eval (pure tuples)."""
+    checks = {c.name: c for c in res.report.verdict.checks}
+    return checks["finite_horizon:series_vs_fd_eval"]
+
+
 res = run_curvature(t, k, RunSettings(n_samples=600, n_max=12))
-v = res.innermult
+c = finite_horizon_check(res)
 print("Jordan block (terminating series):")
-print(f"  series value vs fd gap : {v.gap_series_vs_eval:.2e}  -> ok = {v.ok}")
-print(f"  P-quotient trend       : {v.gap_p_quotient_early:.4f} -> "
-      f"{v.gap_p_quotient_last:.4f} (approaching fd)")
+print(f"  series value vs fd gap : {abs(c.value - c.reference):.2e}  -> ok = {c.ok}")
+print(f"  P-quotient gap at n = 12 (conjecture_gap): {res.report.verdict.conjecture_gap:.4f}")
 
 t2 = load_tuple([np.zeros((2, 2))])
 kd = preset("dirichlet", d=1, N=44)
 res2 = run_curvature(t2, kd, RunSettings(n_op=40, n_theta=40, n_max=10, n_samples=300))
-v2 = res2.innermult
+c2 = finite_horizon_check(res2)
 print("\nZero tuple on C^2, dirichlet kernel, horizon 40 (slow b-tails):")
-print(f"  series value vs fd gap : {v2.gap_series_vs_eval:.4f}  -> ok = {v2.ok}")
+print(f"  series value vs fd gap : {abs(c2.value - c2.reference):.4f}  -> ok = {c2.ok}")
 print(f"  (the gap equals dim times the kernel's b-tail mass "
       f"{1 - kd.b_partial_sum(40):.4f}; it shrinks only logarithmically,")
-print("   so the 0.05 gate in the chain check genuinely fails at this horizon --")
-print("   the verdict reports the deficit instead of hiding it)")
+print("   so the 0.05 rule fails at this horizon.  The check is recorded, not")
+print(f"   asserted: the verdict stays ok = {res2.report.verdict.ok} and reports the deficit)")

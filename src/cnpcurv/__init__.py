@@ -55,7 +55,7 @@ from .curvature import (
     ordering_rows,
     reconcile,
 )
-from .fibredim import FibreDimReport, fd_by_grading, fd_report, innermult_consistency
+from .fibredim import FibreDimReport, fd_by_grading, fd_report
 from .pipeline import PipelineResult, RunSettings, run_curvature
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ Point values and Taylor coefficients read the pieces of this one
 realization from the package (DefectPackage.realization, built once per
 package).  The coefficients come from a graded recursion on dimH x rank_d
 matrices (see taylor), never from numerical differentiation, and are exact
-for jointly nilpotent tuples.  Every gate is the package's own: nothing here
-takes a tolerance, and a series records the package's tolerances.
+for jointly nilpotent tuples; they serve `theta --taylor`, while the curvature
+report reads only termination_bound.  Every gate is the package's own:
+nothing here takes a tolerance, and a series records the package's tolerances.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "eval_theta",
     "taylor",
     "theta_horizon",
+    "termination_bound",
     "check_consistency",
     "sample_ball_points",
 ]
@@ -168,7 +170,6 @@ class CharacteristicSeries:
     rank_d: int
     is_polynomial: bool
     degree: int | None           # exact degree when is_polynomial
-    kernel_fingerprint: tuple
     tol: Tolerances
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
@@ -218,7 +219,6 @@ def taylor(pkg: DefectPackage, k: KernelSpec, n_theta: int | None = None) -> Cha
         rank_d=pkg.rank_d,
         is_polynomial=is_poly,
         degree=degree,
-        kernel_fingerprint=k.fingerprint(),
         tol=pkg.tol,
     )
 
@@ -245,17 +245,22 @@ def theta_horizon(pkg: DefectPackage, k: KernelSpec, n_theta: int | None = None)
     return n_theta
 
 
+def termination_bound(pkg: DefectPackage, k: KernelSpec, n_theta: int) -> int | None:
+    """The degree nd - 1 + b-support beyond which every coefficient of theta
+    vanishes identically, or None when theta is not certified polynomial at
+    horizon n_theta: the tuple is not nilpotent, the kernel's b-support is
+    not finite, or n_theta falls short of the bound."""
+    nd, support = pkg.nilpotent_degree, k.b_support_bound
+    if nd is None or support is None or n_theta < nd - 1 + support:
+        return None
+    return nd - 1 + support
+
+
 def _polynomial_state(pkg, k, coeffs, n_theta):
-    """theta is certified polynomial when the tuple is nilpotent and the
-    kernel's b-support is finite: every coefficient beyond
-    (nilpotency - 1) + max b-support then vanishes identically.  The degree
-    is the largest one with a coefficient above eps_id times the largest
-    coefficient norm (or 1); each norm is taken once."""
-    nd = pkg.nilpotent_degree
-    if nd is None or k.b_support_bound is None:
-        return False, None
-    bound = nd - 1 + k.b_support_bound
-    if n_theta < bound:
+    """theta is polynomial when termination_bound certifies it.  The degree
+    is then the largest one with a coefficient above eps_id times the
+    largest coefficient norm (or 1); each norm is taken once."""
+    if termination_bound(pkg, k, n_theta) is None:
         return False, None
     norms = {key: op_norm(a) for key, a in coeffs.items()}
     cut = pkg.tol.eps_id * max(1.0, max(norms.values(), default=0.0))

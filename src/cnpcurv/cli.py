@@ -273,7 +273,6 @@ def cmd_curvature(args) -> int:
         payload = {
             "kernel": {"name": k.name, "d": k.d, "N": k.N},
             "report": report,
-            "innermult": result.innermult,
             "fd": result.fd,
         }
         text = dumps_json17(payload, indent=2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import CharacteristicSeries, _theta_map, sample_ball_points, theta_horizon
+from .charfn import _theta_map, sample_ball_points, theta_horizon
 from .comb import q
 from .errors import (
     HorizonExceeded,
@@ -188,7 +188,7 @@ def curvature_integral(
 
 def curvature_pure(
     pkg: DefectPackage,
-    series: CharacteristicSeries,
+    is_polynomial: bool,
     profile: DegreeProfile,
     fd_estimate: int,
     purity_residual: float,
@@ -196,13 +196,14 @@ def curvature_pure(
     """Integer curvature dim(Ran Delta) - fd for pure tuples.
 
     Raises NotPure when the purity residual exceeds the package's gate and
-    IntegerMismatch when the series estimate sits far from an integer even
-    though purity holds (horizons inconsistent)."""
+    IntegerMismatch when the series estimate of a polynomial theta
+    (charfn.termination_bound) sits far from an integer even though purity
+    holds (horizons inconsistent)."""
     eps_pure = pkg.tol.eps_pure
     if purity_residual > eps_pure:
         raise NotPure(f"purity residual {purity_residual:.3e} exceeds {eps_pure:.1e}")
     k_series = pkg.rank_delta - profile.series_value
-    if series.is_polynomial and abs(k_series - round(k_series)) > 0.05:
+    if is_polynomial and abs(k_series - round(k_series)) > 0.05:
         raise IntegerMismatch(
             f"series curvature {k_series:.6f} is not near an integer although "
             "the tuple is pure and the series terminates"
@@ -243,7 +244,7 @@ class CurvatureReport:
     k_pure: int | None
     fd_eval: int | None
     is_polynomial: bool
-    theta_degree: int | None
+    theta_degree_bound: int | None    # charfn.termination_bound
     n_theta: int
     n_op: int
     tail_bound: float
@@ -251,17 +252,12 @@ class CurvatureReport:
     verdict: ReconcileVerdict | None = None
 
 
-def reconcile(
-    report: CurvatureReport,
-    series: CharacteristicSeries,
-    pkg: DefectPackage,
-    k: KernelSpec,
-) -> ReconcileVerdict:
+def reconcile(report: CurvatureReport, pkg: DefectPackage, k: KernelSpec) -> ReconcileVerdict:
     """Consistency verdict over the populated estimators, under the
     package's tolerances.
 
     Hard checks (failures raise ReconcileFailure):
-      * series/package/kernel all refer to the same kernel table;
+      * the package was built against this kernel table;
       * every estimator lies in [-eps, dim + eps];
       * the Monte-Carlo estimate matches the exact same-radius average from
         the coefficients within 3 standard errors (plus a machine-noise
@@ -269,21 +265,25 @@ def reconcile(
         sample spread can collapse to rounding level);
       * the radius-truncation gap |K_series - K_at_radius| stays within its
         a-priori bound dim * (1 - r^{2 n_theta});
-      * for a terminated (polynomial) series over a constant-coefficient
-        kernel the weighted route agrees with the series route to 1e-9; for
-        slowly converging kernels only the trend toward K_series is checked,
-        since no rate is available at finite n;
+      * for a polynomial theta over a constant-coefficient kernel, with the
+        weighted table past the termination bound, the weighted route agrees
+        with the series route to 1e-9; for slowly converging kernels only
+        the trend toward K_series is checked, since no rate is available at
+        finite n;
       * per-degree, normalized E-traces dominate the dPsi partial sums
         (asserted only for non-increasing a-tables, where it is a theorem at
         finite n).
 
-    The gap between the averaged P-trace quotient and the series value is
-    recorded as experimental data, never asserted: the quotient approaches
-    the series value only in the limit, and at any finite degree it lags the
-    other two routes whenever the E-trace sequence is still increasing.
+    Recorded, never asserted (the two sides meet only in the limit):
+      * finite_horizon:series_vs_fd_eval, for a pure tuple: trace dPsi
+        against fd_eval within 0.05; over a slowly decaying b-table they
+        stay apart by the b-mass the horizon leaves out;
+      * conjecture_gap, the averaged P-trace quotient against the series
+        value: at any finite degree the quotient lags the other two routes
+        whenever the E-trace sequence is still increasing.
     """
-    if series.kernel_fingerprint != k.fingerprint() or pkg.kernel_fingerprint != k.fingerprint():
-        raise ReconcileFailure("series/package built against a different kernel table")
+    if pkg.kernel_fingerprint != k.fingerprint():
+        raise ReconcileFailure("package built against a different kernel table")
 
     tol = pkg.tol
     checks: list[ReconcileCheck] = []
@@ -319,7 +319,7 @@ def reconcile(
     )
 
     r = report.k_integral.radius
-    radius_bound = dim * (1.0 - r ** (2 * series.n_theta)) + tol.eps_id
+    radius_bound = dim * (1.0 - r ** (2 * report.n_theta)) + tol.eps_id
     radius_gap = abs(report.k_series - report.k_at_radius_exact)
     checks.append(
         ReconcileCheck(
@@ -334,7 +334,7 @@ def reconcile(
     constant_a = bool(np.all(k.a == k.a[0]))
     kw_last = float(report.k_weighted[-1])
     kw_gap = abs(kw_last - report.k_series)
-    if series.is_polynomial and constant_a and len(report.k_weighted) > (series.degree or 0):
+    if report.is_polynomial and constant_a and len(report.k_weighted) > report.theta_degree_bound:
         checks.append(
             ReconcileCheck(
                 name="weighted_vs_series",
@@ -357,7 +357,7 @@ def reconcile(
             )
         )
 
-    a_nonincreasing = bool(np.all(np.diff(k.a[: series.n_theta + 1]) <= 1e-15))
+    a_nonincreasing = bool(np.all(np.diff(k.a[: report.n_theta + 1]) <= 1e-15))
     for row in report.convergence:
         ok = row["t_e_normalized"] >= row["dpsi_partial"] - 1e-10
         checks.append(
@@ -368,6 +368,18 @@ def reconcile(
                 tolerance=1e-10,
                 ok=ok if a_nonincreasing else True,
                 asserted=a_nonincreasing,
+            )
+        )
+
+    if report.fd_eval is not None and report.purity_residual <= tol.eps_pure:
+        checks.append(
+            ReconcileCheck(
+                name="finite_horizon:series_vs_fd_eval",
+                value=report.trace_dpsi_series,
+                reference=float(report.fd_eval),
+                tolerance=0.05,
+                ok=abs(report.trace_dpsi_series - report.fd_eval) <= 0.05,
+                asserted=False,
             )
         )
 

@@ -4,6 +4,7 @@ Two estimators: the maximal numerical rank of theta(z) over sampled ball
 points (the rank of an analytic matrix function is generically maximal and
 can only drop on thin sets), and the graded-dimension quotient
 dim(P_n Ran M_theta) / q_d(n), whose trend recovers the same number.
+curvature.reconcile records how far trace dPsi sits from fd_eval.
 
 The graded dimensions need no multiplier and no Taylor series: M_theta
 M_theta* = I - L L* with L* P_n L the purity partial sum p_n, so the rank
@@ -18,17 +19,14 @@ import numpy as np
 
 from .charfn import _theta_map
 from .comb import q
-from .config import DEFAULT, Tolerances
-from .errors import HorizonExceeded, NotPure
+from .errors import HorizonExceeded
 from .kernel import KernelSpec
 from .tuples import DefectPackage, OperatorTuple
 
 __all__ = [
     "FibreDimReport",
-    "InnermultVerdict",
     "fd_report",
     "fd_by_grading",
-    "innermult_consistency",
 ]
 
 
@@ -141,43 +139,3 @@ def fd_by_grading(t: OperatorTuple, pkg: DefectPackage, k: KernelSpec, n_max: in
         sv = np.linalg.svd(g.transpose(1, 0, 2).reshape(dim, -1), compute_uv=False)
         h[n] += np.sum(sv > pkg.tol.eps_rank)
     return h / counts
-
-
-@dataclass(frozen=True)
-class InnermultVerdict:
-    ok: bool
-    gap_series_vs_eval: float     # | trace dPsi series - fd_eval |
-    trend_ok: bool
-    gap_p_quotient_last: float    # | t_P(n_max)/q_d - fd_eval |
-    gap_p_quotient_early: float
-
-
-def innermult_consistency(
-    fd_rep: FibreDimReport,
-    dpsi_series_value: float,
-    t_p_normalized: list[float],
-    purity_residual: float,
-    tol: Tolerances = DEFAULT,
-) -> InnermultVerdict:
-    """Check the inner-multiplier chain: series value == fd == limiting
-    P-trace quotient.
-
-    Gated on purity (the characteristic function is inner only then).  The
-    series value is compared to fd within 0.05; the P-trace quotient is only
-    required to trend toward fd, since at any finite degree it lags the limit
-    by a head-weighted deficit."""
-    if purity_residual > tol.eps_pure:
-        raise NotPure(
-            f"purity residual {purity_residual:.3e} exceeds {tol.eps_pure:.1e}"
-        )
-    gap_eval = abs(dpsi_series_value - fd_rep.fd_eval)
-    last = abs(t_p_normalized[-1] - fd_rep.fd_eval)
-    early = abs(t_p_normalized[len(t_p_normalized) // 2] - fd_rep.fd_eval)
-    trend_ok = last <= early + tol.eps_id
-    return InnermultVerdict(
-        ok=gap_eval <= 0.05 and trend_ok,
-        gap_series_vs_eval=gap_eval,
-        trend_ok=trend_ok,
-        gap_p_quotient_last=last,
-        gap_p_quotient_early=early,
-    )

@@ -1,10 +1,12 @@
 """End-to-end orchestration: tuple + kernel -> full curvature report.
 
 A PipelineResult is one run: pkg -> purity (walked to n_theta) -> profile
--> series -> fd -> report.  Each stage is built on first read and kept, so
-a caller runs only the stages it reads, each once.  The defect package
-carries the run's tolerances (RunSettings.tol); every later stage reads
-them there.
+-> fd -> report.  Each stage is built on first read and kept, so a caller
+runs only the stages it reads, each once.  The report builds no Taylor
+series: whether theta is a polynomial, and the degree bound, come from
+charfn.termination_bound; the series stage serves `theta --taylor`.  The
+defect package carries the run's tolerances (RunSettings.tol); every later
+stage reads them there.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .charfn import CharacteristicSeries, taylor, theta_horizon
+from .charfn import CharacteristicSeries, taylor, termination_bound, theta_horizon
 from .config import DEFAULT, Tolerances
 from .curvature import (
     CurvatureReport,
@@ -24,13 +26,7 @@ from .curvature import (
     reconcile,
 )
 from .errors import IntegerMismatch, NotPure
-from .fibredim import (
-    FibreDimReport,
-    InnermultVerdict,
-    fd_by_grading,
-    fd_report,
-    innermult_consistency,
-)
+from .fibredim import FibreDimReport, fd_by_grading, fd_report
 from .kernel import KernelSpec
 from .tuples import DefectPackage, OperatorTuple, PurityReport, defect_package, purity
 
@@ -55,8 +51,8 @@ class PipelineResult:
 
     One sigma walk sums the purity series and gives the traces of the degree
     profile, which every scalar route reads.  The graded fibre dimension
-    walks sigma on factors of its own, and the Taylor series serves only the
-    polynomial state."""
+    walks sigma on factors of its own.  The report reads no Taylor series;
+    the series stage is built only when a caller reads it."""
 
     def __init__(self, t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()):
         self.t, self.k, self.settings = t, k, settings
@@ -104,13 +100,15 @@ class PipelineResult:
     def report(self) -> CurvatureReport:
         """Every estimator, collected and reconciled."""
         pkg, k, s = self.pkg, self.k, self.settings
-        pur, profile, series = self.purity, self.profile, self.series
+        pur, profile = self.purity, self.profile
+        bound = termination_bound(pkg, k, self.n_theta)
+        is_poly = bound is not None
         k_w = curvature_weighted(profile, pkg.rank_delta)
         k_int = curvature_integral(pkg, k, radius=s.radius, n_samples=s.n_samples, seed=s.seed)
         fd_rep = self.fd
         k_pure = None  # for an impure tuple or inconsistent horizons
         with suppress(NotPure, IntegerMismatch):
-            k_pure = curvature_pure(pkg, series, profile, fd_rep.fd_eval, pur.purity_residual)
+            k_pure = curvature_pure(pkg, is_poly, profile, fd_rep.fd_eval, pur.purity_residual)
         report = CurvatureReport(
             dim_ran_delta=pkg.rank_delta,
             rank_d=pkg.rank_d,
@@ -123,34 +121,20 @@ class PipelineResult:
             k_at_radius_exact=pkg.rank_delta - profile.sphere_average(s.radius),
             k_pure=k_pure,
             fd_eval=fd_rep.fd_eval,
-            is_polynomial=series.is_polynomial,
-            theta_degree=series.degree,
-            n_theta=series.n_theta,
+            is_polynomial=is_poly,
+            theta_degree_bound=bound,
+            n_theta=self.n_theta,
             n_op=pkg.n_op,
             tail_bound=pkg.tail_bound,
             convergence=ordering_rows(profile),
         )
-        report.verdict = reconcile(report, series, pkg, k)
+        report.verdict = reconcile(report, pkg, k)
         return report
-
-    @cached_property
-    def innermult(self) -> InnermultVerdict | None:
-        """The inner-multiplier chain check, or None when purity fails."""
-        pur = self.purity
-        if pur.purity_residual > self.pkg.tol.eps_pure:
-            return None
-        return innermult_consistency(
-            self.fd,
-            self.profile.series_value,
-            [row["t_p_normalized"] for row in self.report.convergence],
-            pur.purity_residual,
-            tol=self.pkg.tol,
-        )
 
 
 def run_curvature(t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()) -> PipelineResult:
-    """defect -> purity and degree profile -> taylor -> curvature and fd ->
-    reconcile: the run, with its report built."""
+    """defect -> purity and degree profile -> curvature and fd -> reconcile:
+    the run, with its report built."""
     run = PipelineResult(t, k, settings)
     run.report  # builds every stage the report reads
     return run

@@ -195,7 +195,7 @@ class TestCriterion5:
             mc_ok = abs(est.estimate - target) <= 3 * est.stderr + MC_FLOOR
             fd = fd_report(pkg, kern).fd_eval
             pur = cc.purity(t, kern, pkg)
-            kp = curvature_pure(pkg, series, profile, fd, pur.purity_residual)
+            kp = curvature_pure(pkg, series.is_polynomial, profile, fd, pur.purity_residual)
 
             case_ok = (
                 single

@@ -1,12 +1,14 @@
-"""Characteristic function: evaluation, Taylor extraction, consistency."""
+"""Characteristic function: evaluation, Taylor extraction, consistency, and
+the termination bound the curvature report reads in place of the series."""
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cnpcurv as cc
-from cnpcurv.charfn import check_consistency, sample_ball_points
+from cnpcurv.charfn import check_consistency, sample_ball_points, termination_bound
 from cnpcurv.errors import HorizonExceeded, NearSingular, OutsideBall
 
 from conftest import jordan_block, random_nilpotent_tuple, random_unitary, truncated_shift_ops
@@ -258,3 +260,64 @@ class TestFiniteSupportDefaultHorizon:
         ]
         for r in reports:
             assert (r.k_series, r.k_pure, r.fd_eval) == (0.0, 0, 2)
+
+
+class TestTerminationBound:
+    """The curvature report takes is_polynomial and theta_degree_bound from
+    termination_bound, not from the Taylor series; the series' own state
+    must agree, and its degree never exceeds the bound."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["szego", "drury-arveson", "dirichlet"]))
+    def test_report_state_matches_the_series(self, seed, name):
+        t = random_nilpotent_tuple(np.random.default_rng(seed))
+        assume(t.d == 1 or name != "szego")
+        k = cc.preset(name, d=t.d, N=14)
+        run = cc.PipelineResult(t, k, cc.RunSettings(n_samples=60, n_max=6))
+        series = cc.taylor(run.pkg, k, run.n_theta)
+        assert series.n_theta == run.n_theta
+        if k.b_support_bound is None:
+            # over dirichlet the report of a nilpotent tuple raises
+            # ReconcileFailure at default horizons (ROADMAP item 2): compare
+            # the helper the report reads
+            bound = termination_bound(run.pkg, k, run.n_theta)
+            is_polynomial = bound is not None
+        else:
+            bound, is_polynomial = run.report.theta_degree_bound, run.report.is_polynomial
+        assert is_polynomial == series.is_polynomial
+        assert is_polynomial == (k.b_support_bound is not None)
+        if is_polynomial:
+            assert bound >= series.degree
+
+    @pytest.mark.parametrize(
+        "ops,name",
+        [([jordan_block(n)], name) for n in range(2, 7) for name in ("szego", "drury-arveson")]
+        + [([0.4 * m for m in truncated_shift_ops(d, top)], "drury-arveson")
+           for d, top in ((2, 3), (2, 4), (3, 3))],
+        ids=[f"J{n}-{name}" for n in range(2, 7) for name in ("szego", "drury-arveson")]
+        + ["shift-d2-top3", "shift-d2-top4", "shift-d3-top3"],
+    )
+    def test_bound_is_the_degree(self, ops, name):
+        t = cc.load_tuple(ops)
+        k = cc.preset(name, d=t.d, N=16)
+        run = cc.run_curvature(t, k, cc.RunSettings(n_samples=100, n_max=8))
+        series = cc.taylor(run.pkg, k, run.n_theta)
+        assert run.report.is_polynomial and series.is_polynomial
+        # nd - 1 + b-support, and both kernels have b-support 1
+        assert run.report.theta_degree_bound == series.degree == t.nilpotent_degree
+
+    def test_tiny_top_coefficient_falls_below_the_bound(self):
+        # 1e-3 J_5: theta's degree-5 coefficient (about 1e-12) lies below the
+        # eps_id cut, so the series reports degree 4 against the bound 5
+        t = cc.load_tuple([1e-3 * jordan_block(5)])
+        k = cc.preset("szego", d=1, N=16)
+        run = cc.run_curvature(t, k, cc.RunSettings(n_samples=100, n_max=8))
+        series = cc.taylor(run.pkg, k, run.n_theta)
+        assert (series.degree, run.report.theta_degree_bound) == (4, 5)
+
+    def test_none_short_of_the_bound(self):
+        k = cc.preset("szego", d=1, N=10)
+        pkg = cc.defect_package(cc.load_tuple([jordan_block(3)]), k)
+        assert termination_bound(pkg, k, 3) == 3
+        assert termination_bound(pkg, k, 2) is None
+        assert not cc.taylor(pkg, k, 2).is_polynomial

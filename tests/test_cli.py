@@ -160,7 +160,9 @@ class TestCurvatureCommand:
         assert rep["k_pure"] == 0
         assert rep["fd_eval"] == 1
         assert rep["is_polynomial"] is True
-        assert data["innermult"]["ok"] is True
+        checks = {c["name"]: c for c in rep["verdict"]["checks"]}
+        assert checks["finite_horizon:series_vs_fd_eval"]["ok"] is True
+        assert "innermult" not in data
 
     def test_csv_format(self, jordan3_file, capsys):
         rc = main(

@@ -1,4 +1,5 @@
 """Curvature estimators and their reconciliation."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,6 @@ def synthetic_series(d, coeffs, rank_delta, rank_d, k, is_poly=True):
         rank_d=rank_d,
         is_polynomial=is_poly,
         degree=max(degs) if is_poly else None,
-        kernel_fingerprint=k.fingerprint(),
         tol=DEFAULT,
     )
 
@@ -170,33 +170,33 @@ class TestPureRoute:
     def test_jordan(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
-        pkg, series = build(t, k)
+        pkg = cc.defect_package(t, k)
         profile = DegreeProfile.build(t, pkg, k)
-        assert curvature_pure(pkg, series, profile, fd_estimate=1, purity_residual=0.0) == 0
+        assert curvature_pure(pkg, True, profile, fd_estimate=1, purity_residual=0.0) == 0
 
     def test_zero_tuple(self):
         m = 2
         t = cc.load_tuple([np.zeros((m, m))])
         k = cc.preset("drury-arveson", d=1, N=8)
-        pkg, series = build(t, k, n_op=1, n_theta=1)
+        pkg = cc.defect_package(t, k, n_op=1)
         profile = DegreeProfile.build(t, pkg, k, n_theta=1)
-        assert curvature_pure(pkg, series, profile, fd_estimate=m, purity_residual=0.0) == 0
+        assert curvature_pure(pkg, True, profile, fd_estimate=m, purity_residual=0.0) == 0
 
     def test_vanishing_symbol_extreme_case(self):
         k = cc.preset("drury-arveson", d=1, N=8)
         t = cc.load_tuple([np.zeros((1, 1))])
-        pkg, _ = build(t, k, n_op=1, n_theta=1)
+        pkg = cc.defect_package(t, k, n_op=1)
         series = synthetic_series(1, {(0,): np.zeros((1, 1))}, 1, 0, k)
         profile = profile_from_series(series, k)
-        assert curvature_pure(pkg, series, profile, fd_estimate=0, purity_residual=0.0) == 1
+        assert curvature_pure(pkg, True, profile, fd_estimate=0, purity_residual=0.0) == 1
 
     def test_not_pure(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
-        pkg, series = build(t, k)
+        pkg = cc.defect_package(t, k)
         profile = DegreeProfile.build(t, pkg, k)
         with pytest.raises(NotPure):
-            curvature_pure(pkg, series, profile, fd_estimate=1, purity_residual=1.0)
+            curvature_pure(pkg, True, profile, fd_estimate=1, purity_residual=1.0)
 
 
 class TestPipelineAndReconcile:
@@ -239,7 +239,7 @@ class TestPipelineAndReconcile:
         t = cc.load_tuple([jordan_block(3)])
         k1 = cc.preset("szego", d=1, N=16)
         k2 = cc.preset("dirichlet", d=1, N=16)
-        pkg, series = build(t, k1)
+        pkg = cc.defect_package(t, k1)
         from cnpcurv.curvature import (
             CurvatureReport,
             IntegralEstimate,
@@ -260,14 +260,14 @@ class TestPipelineAndReconcile:
             k_pure=0,
             fd_eval=1,
             is_polynomial=True,
-            theta_degree=3,
+            theta_degree_bound=3,
             n_theta=3,
             n_op=2,
             tail_bound=0.0,
             convergence=ordering_rows(DegreeProfile.build(t, pkg, k1, 3)),
         )
         with pytest.raises(ReconcileFailure):
-            reconcile(report, series, pkg, k2)
+            reconcile(report, pkg, k2)
 
     def test_profile_built_once(self, monkeypatch):
         # every scalar route reads one profile, built from the traces of the
@@ -348,8 +348,8 @@ class TestGates:
     def test_integrality(self, run, gap, raises):
         # a stand-in profile whose one term puts K_series = 1 - gap
         profile = replace(run.profile, c=np.array([gap]))
-        assert run.series.is_polynomial and run.pkg.rank_delta == 1
-        args = (run.pkg, run.series, profile, 1, 0.0)
+        assert run.report.is_polynomial and run.pkg.rank_delta == 1
+        args = (run.pkg, True, profile, 1, 0.0)
         if raises:
             with pytest.raises(IntegerMismatch, match="not near an integer"):
                 curvature_pure(*args)
@@ -367,9 +367,98 @@ class TestGates:
         )
         if raises:
             with pytest.raises(ReconcileFailure, match="check range:k_series:"):
-                reconcile(moved, run.series, run.pkg, run.k)
+                reconcile(moved, run.pkg, run.k)
         else:
-            assert reconcile(moved, run.series, run.pkg, run.k).ok
+            assert reconcile(moved, run.pkg, run.k).ok
+
+    # (stderr of the integral, gate position): the tolerance is 3 stderr
+    # plus a 1e-13 floor, so the stderr-0 cases hold the floor alone
+    @pytest.mark.parametrize("stderr", [0.0, 1e-3], ids=["floor", "3-sigma"])
+    @pytest.mark.parametrize("scale,raises", [(0.99, False), (1.01, True)], ids=["inside", "outside"])
+    def test_monte_carlo(self, run, stderr, scale, raises):
+        rep = run.report
+        tol = 3.0 * stderr + 1e-13 * max(1.0, rep.dim_ran_delta)
+        moved = replace(rep, k_integral=replace(
+            rep.k_integral, stderr=stderr, estimate=rep.k_at_radius_exact + scale * tol))
+        self._assert_gate(run, moved, raises, "integral_vs_series_at_radius")
+
+    @pytest.mark.parametrize("scale,raises", [(0.99, False), (1.01, True)], ids=["inside", "outside"])
+    def test_radius_truncation(self, run, scale, raises):
+        # the same-radius average and the integral move together, so only
+        # the radius check sees K_series (0 here) drift from them
+        rep, r = run.report, run.report.k_integral.radius
+        bound = rep.dim_ran_delta * (1.0 - r ** (2 * rep.n_theta)) + run.pkg.tol.eps_id
+        v = rep.k_series + scale * bound
+        moved = replace(rep, k_at_radius_exact=v, k_integral=replace(rep.k_integral, estimate=v))
+        self._assert_gate(run, moved, raises, "radius_truncation")
+
+    @pytest.mark.parametrize("scale,raises", [(0.99, False), (1.01, True)], ids=["inside", "outside"])
+    def test_weighted_vs_series(self, run, scale, raises):
+        rep = run.report
+        assert rep.is_polynomial and len(rep.k_weighted) > rep.theta_degree_bound
+        k_weighted = rep.k_weighted.copy()
+        k_weighted[-1] = rep.k_series + scale * 1e-9
+        self._assert_gate(run, replace(rep, k_weighted=k_weighted), raises, "weighted_vs_series")
+
+    @pytest.mark.parametrize("n", [0, 3, 12])
+    @pytest.mark.parametrize("scale,raises", [(0.99, False), (1.01, True)], ids=["inside", "outside"])
+    def test_ordering(self, run, n, scale, raises):
+        rep = run.report
+        rows = [dict(row) for row in rep.convergence]
+        rows[n]["t_e_normalized"] = rows[n]["dpsi_partial"] - scale * 1e-10
+        self._assert_gate(run, replace(rep, convergence=rows), raises, f"ordering_e_vs_dpsi[n={n}]")
+
+    @pytest.mark.parametrize("scale,recorded", [(1.0, True), (1.01, False)], ids=["at-gate", "outside"])
+    def test_finite_horizon_check_needs_purity(self, run, scale, recorded):
+        rep = replace(run.report, purity_residual=scale * run.pkg.tol.eps_pure)
+        names = [c.name for c in reconcile(rep, run.pkg, run.k).checks]
+        assert ("finite_horizon:series_vs_fd_eval" in names) == recorded
+
+    @staticmethod
+    def _assert_gate(run, moved, raises, name):
+        if raises:
+            with pytest.raises(ReconcileFailure, match=re.escape(f"check {name}:")):
+                reconcile(moved, run.pkg, run.k)
+        else:
+            verdict = reconcile(moved, run.pkg, run.k)
+            assert verdict.ok and name in [c.name for c in verdict.checks]
+
+
+class TestFiniteHorizonCheck:
+    """finite_horizon:series_vs_fd_eval records |trace dPsi - fd_eval| <= 0.05
+    for a pure tuple; it is never asserted."""
+
+    @staticmethod
+    def _check(report):
+        found = [c for c in report.verdict.checks if c.name == "finite_horizon:series_vs_fd_eval"]
+        return found[0] if found else None
+
+    def test_jordan_records_ok(self):
+        t = cc.load_tuple([jordan_block(3)])
+        res = run_curvature(t, cc.preset("szego", d=1, N=16), RunSettings(n_samples=400, n_max=12))
+        check = self._check(res.report)
+        assert check.ok and not check.asserted
+        assert abs(check.value - check.reference) <= 1e-10
+
+    def test_dirichlet_truncation_gap_is_recorded(self):
+        # slow b-tails leave a genuine deficit at any finite horizon: the
+        # series value sits below the evaluation rank by the b-mass residue
+        t = cc.load_tuple([np.zeros((2, 2))])
+        k = cc.preset("dirichlet", d=1, N=44)
+        res = run_curvature(t, k, RunSettings(n_op=40, n_theta=40, n_max=10, n_samples=100))
+        check = self._check(res.report)
+        assert not check.ok and not check.asserted
+        assert abs(check.value - check.reference) == pytest.approx(
+            2 * (1 - k.b_partial_sum(40)), abs=1e-10
+        )
+        assert res.report.verdict.ok
+
+    def test_impure_tuple_gets_no_check(self):
+        # diag(1, 0) has a joint eigenvalue on the circle: purity fails
+        t = cc.load_tuple([np.diag([1.0, 0.0])])
+        res = run_curvature(t, cc.preset("szego", d=1, N=16), RunSettings(n_op=8, n_samples=200))
+        assert res.report.purity_residual > DEFAULT.eps_pure
+        assert self._check(res.report) is None
 
 
 class TestDegenerateCodomain:

@@ -1,4 +1,4 @@
-"""Fibre dimension estimators and the inner-multiplier consistency check."""
+"""Fibre dimension estimators: evaluation rank and graded dimensions."""
 import tracemalloc
 
 import numpy as np
@@ -7,9 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cnpcurv as cc
 from cnpcurv.comb import q
-from cnpcurv.curvature import DegreeProfile, ordering_rows
-from cnpcurv.errors import HorizonExceeded, NotPure
-from cnpcurv.fibredim import fd_by_grading, fd_report, innermult_consistency
+from cnpcurv.errors import HorizonExceeded
+from cnpcurv.fibredim import fd_by_grading, fd_report
 from cnpcurv.pipeline import RunSettings, run_curvature
 from cnpcurv.tuples import default_horizon
 
@@ -77,6 +76,14 @@ class TestEvaluationRank:
             t2 = cc.conjugate_by_unitary(t, random_unitary(rng, t.dim_h))
             pkg2, _ = build(t2, k)
             assert fd_report(pkg2, k).fd_eval == base
+
+    def test_pure_nilpotent_fd_equals_defect_rank(self, rng):
+        for _ in range(5):
+            t = random_nilpotent_tuple(rng)
+            k = cc.preset("drury-arveson", d=t.d, N=12)
+            res = run_curvature(t, k, RunSettings(n_samples=100, n_max=8))
+            assert res.fd.fd_eval == res.pkg.rank_delta
+            assert res.report.k_pure == 0
 
 
 def _kernel(name, d, n=10):
@@ -364,52 +371,3 @@ class TestUnitaryInvariance:
         nd = t.nilpotent_degree
         assert np.all(np.diff(h) >= 0)
         assert np.array_equal(h[nd - 1 :], pkg.rank_delta * counts[nd - 1 :] - t.dim_h)
-
-
-class TestInnermult:
-    def test_jordan_chain(self):
-        t = cc.load_tuple([jordan_block(3)])
-        k = cc.preset("szego", d=1, N=16)
-        pkg, series = build(t, k)
-        rep = fd_report(pkg, k, purity_residual=0.0)
-        profile = DegreeProfile.build(t, pkg, k, 12)
-        rows = ordering_rows(profile)
-        verdict = innermult_consistency(
-            rep,
-            profile.series_value,
-            [row["t_p_normalized"] for row in rows],
-            purity_residual=0.0,
-        )
-        assert verdict.ok
-        assert verdict.gap_series_vs_eval <= 1e-10
-        assert verdict.trend_ok
-
-    def test_not_pure_gate(self):
-        t = cc.load_tuple([jordan_block(3)])
-        k = cc.preset("szego", d=1, N=16)
-        pkg, series = build(t, k)
-        rep = fd_report(pkg, k)
-        with pytest.raises(NotPure):
-            innermult_consistency(rep, 1.0, [1.0, 1.0], purity_residual=1.0)
-
-    def test_dirichlet_truncation_gap_is_visible(self):
-        # slow b-tails leave a genuine deficit at any finite horizon: the
-        # series value sits below the evaluation rank by the b-mass residue
-        t = cc.load_tuple([np.zeros((2, 2))])
-        k = cc.preset("dirichlet", d=1, N=44)
-        res = run_curvature(
-            t, k, RunSettings(n_op=40, n_theta=40, n_max=10, n_samples=100)
-        )
-        verdict = res.innermult
-        expected_gap = 2 * (1 - k.b_partial_sum(40))
-        assert verdict is not None and not verdict.ok
-        assert verdict.gap_series_vs_eval == pytest.approx(expected_gap, abs=1e-10)
-        assert verdict.trend_ok
-
-    def test_pure_nilpotent_fd_equals_defect_rank(self, rng):
-        for _ in range(5):
-            t = random_nilpotent_tuple(rng)
-            k = cc.preset("drury-arveson", d=t.d, N=12)
-            res = run_curvature(t, k, RunSettings(n_samples=100, n_max=8))
-            assert res.fd.fd_eval == res.pkg.rank_delta
-            assert res.report.k_pure == 0

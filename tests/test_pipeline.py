@@ -39,7 +39,8 @@ def stage_calls(monkeypatch):
 @pytest.mark.parametrize(
     "argv,ran,not_ran",
     [
-        (["curvature", "--samples", "300"], STAGES + ("profile",), ()),
+        (["curvature", "--samples", "300"],
+         ("defect_package", "purity", "profile", "fd_report", "fd_by_grading"), ("taylor",)),
         (["fd"], ("defect_package", "purity", "fd_report", "fd_by_grading"),
          ("taylor", "profile")),
         (["traces"], ("defect_package", "purity", "profile"),
@@ -70,7 +71,8 @@ def test_realization_built_once_per_run(monkeypatch):
     t = cc.load_tuple([0.5 * jordan_block(3) + 0.1 * np.eye(3)])
     k = cc.preset("dirichlet", d=1, N=20)
     run = cc.run_curvature(t, k, cc.RunSettings(n_op=12, n_samples=200))
-    # the Monte-Carlo integral, the rank sampling and the Taylor series read it
+    # the Monte-Carlo integral and the rank sampling read it; the report
+    # builds no Taylor series
     assert builds == [run.pkg]
 
 
