@@ -1,7 +1,8 @@
 """The curvature invariant computed by its three routes and reconciled.
 
 For the polynomial case (Jordan block) the three estimators agree to
-Monte-Carlo precision and the invariant is the integer 0.  For a kernel with
+rounding (the integral is an exact sphere rule there) and the invariant is
+the integer 0.  For a kernel with
 slow coefficient tails (dirichlet) the series and weighted routes carry a
 visible, quantified truncation gap that shrinks with the horizon; the
 reconciliation verdict documents the gaps instead of pretending they vanish.
@@ -22,7 +23,8 @@ print(f"dim Ran Delta        : {r.dim_ran_delta}")
 print(f"series route         : K = {r.k_series:.3e}")
 print(f"weighted route (n=12): K = {r.k_weighted[-1]:.3e}")
 print(f"integral route       : K = {r.k_integral.estimate:.6f} "
-      f"+/- {r.k_integral.stderr:.1e}  at r = {r.k_integral.radius}")
+      f"+/- {r.k_integral.stderr:.1e}  at r = {r.k_integral.radius} "
+      f"({r.k_integral.method}, {r.k_integral.n_samples} points)")
 print(f"  exact same-radius value from the series: {r.k_at_radius_exact:.6f}")
 print(f"pure integer route   : K = {r.k_pure}  (fd = {r.fd_eval})")
 print(f"verdict ok: {r.verdict.ok};  recorded conjecture gap "

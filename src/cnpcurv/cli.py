@@ -15,6 +15,7 @@ stack loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -368,8 +369,14 @@ def _glue_point(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_glue_point(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_glue_point(sys.argv[1:] if argv is None else argv))
     from .errors import CnpcurvError
 
     try:

@@ -6,10 +6,14 @@ purity series, not from the Taylor coefficients:
   series   : dim(Ran Delta) - sum_n c_n
   weighted : dim(Ran Delta) - sum_{i<=n} w_{i,n} t_E(i) (exact for
              polynomial symbols, cheaper than materializing the multiplier)
-  integral : Monte-Carlo sphere average of dim(Ran Delta) - trace(theta theta*)
-             at a fixed radius < 1 (radial limits are not computable; the
-             radius is reported, and the exact same-radius average
-             sum_n c_n r^{2n} quantifies what the truncation loses)
+  integral : sphere average of dim(Ran Delta) - trace(theta theta*) at a
+             fixed radius < 1 (radial limits are not computable; the radius
+             is reported, and the exact same-radius average sum_n c_n r^{2n}
+             quantifies what the truncation loses).  Where theta is
+             certified polynomial (charfn.termination_bound) and d <= 2, an
+             exact product rule on the sphere; elsewhere Monte Carlo with a
+             standard error.  It evaluates theta pointwise and shares no
+             code with the profile, so it stays an independent check of it.
 
 The purity-gated integer route dim(Ran Delta) - fd closes the loop.
 """
@@ -150,13 +154,50 @@ def ordering_rows(profile: DegreeProfile) -> list[dict]:
     ]
 
 
+# Rounding-level floor, per unit of dim(Ran Delta), of a sphere average that
+# should be exact: reconcile adds it to three standard errors, and the
+# product rule must meet it to certify itself.
+NOISE_FLOOR = 1e-13
+
+
 @dataclass(frozen=True)
 class IntegralEstimate:
     estimate: float
     stderr: float
     radius: float
-    n_samples: int
+    n_samples: int           # points used (for the product rule: both rules)
     seed: int
+    # "monte-carlo" or "product-rule"; reports print it only for the rule
+    method: str = field(default="monte-carlo", metadata={"omit_default": True})
+
+
+def _sphere_rule(d: int, degree: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of a product rule on the sphere of the given radius
+    in C^d, d = 1 or 2, exact against the normalized surface measure for
+    every z^gamma conj(z)^gamma' with |gamma|, |gamma'| <= degree.
+
+    M = degree + 1 equispaced phases per coordinate annihilate every such
+    monomial with gamma != gamma' and integrate the rest exactly.  For d = 2,
+    t = |z_1|^2 / r^2 is uniform on [0, 1], and what the phases keep,
+    r^{2|gamma|} t^{gamma_1} (1 - t)^{gamma_2}, has degree at most `degree`
+    in t, which ceil((degree + 1) / 2) Gauss-Legendre nodes integrate
+    exactly (Trefethen and Weideman, SIAM Review 56(3), 2014; Rudin,
+    Function Theory in the Unit Ball of C^n, 1980, 1.4)."""
+    m = degree + 1
+    phases = np.exp(2j * np.pi * np.arange(m) / m)
+    if d == 1:
+        return radius * phases[:, None], np.full(m, 1.0 / m)
+    x, w = np.polynomial.legendre.leggauss((degree + 2) // 2)
+    t = (1.0 + x) / 2.0
+    z1 = np.sqrt(t)[:, None, None] * phases[None, :, None]
+    z2 = np.sqrt(1.0 - t)[:, None, None] * phases[None, None, :]
+    points = radius * np.stack(np.broadcast_arrays(z1, z2), axis=-1).reshape(-1, 2)
+    return points, np.repeat(w / (2.0 * m * m), m * m)
+
+
+def _frob_sq(zc, theta):
+    """||theta(z)||_F^2 per point: the integral's reduction of _theta_map."""
+    return np.sum(np.abs(theta) ** 2, axis=(1, 2))
 
 
 def curvature_integral(
@@ -165,16 +206,45 @@ def curvature_integral(
     radius: float = 0.999,
     n_samples: int = 4000,
     seed: int = 7,
+    degree: int | None = None,
 ) -> IntegralEstimate:
-    """Monte-Carlo sphere average of dim(Ran Delta) - trace(theta theta*) at
-    the given radius, with standard error; deterministic under a fixed seed.
+    """Sphere average of dim(Ran Delta) - trace(theta theta*) at the given
+    radius, from at most n_samples evaluations of theta.
+
+    degree, when given, is a degree bound that certifies theta polynomial
+    (charfn.termination_bound).  Then, for d <= 2, the product rules of
+    that degree and of degree + 1 run, if together they take at most
+    n_samples points.  Both are exact for a polynomial of that degree, so
+    when they agree within NOISE_FLOOR * max(1, dim) their value is returned
+    with stderr 0 and method "product-rule"; a disagreement means the bound
+    was too small (numerical nilpotency), and Monte Carlo runs instead.
+    Monte Carlo averages n_samples random points of the sphere and gives a
+    standard error; it is deterministic under a fixed seed.
     Raises NearSingular as the theta map does, under the package's gate."""
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if degree is not None and k.d <= 2:
+        (p_low, w_low), (p_high, w_high) = (
+            _sphere_rule(k.d, n, radius) for n in (degree, degree + 1)
+        )
+        used = len(w_low) + len(w_high)
+        if used <= n_samples:
+            frob_sq = _theta_map(pkg, k, np.concatenate([p_low, p_high]), _frob_sq)
+            low = float(w_low @ frob_sq[: len(w_low)])
+            high = float(w_high @ frob_sq[len(w_low) :])
+            if abs(low - high) <= NOISE_FLOOR * max(1.0, float(pkg.rank_delta)):
+                return IntegralEstimate(
+                    estimate=pkg.rank_delta - high,
+                    stderr=0.0,
+                    radius=radius,
+                    n_samples=used,
+                    seed=seed,
+                    method="product-rule",
+                )
     points = sample_ball_points(k.d, n_samples, radius, seed)
-    frob_sq = _theta_map(pkg, k, points, lambda zc, theta: np.sum(np.abs(theta) ** 2, axis=(1, 2)))
+    frob_sq = _theta_map(pkg, k, points, _frob_sq)
     vals = pkg.rank_delta - frob_sq
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return IntegralEstimate(
@@ -259,10 +329,11 @@ def reconcile(report: CurvatureReport, pkg: DefectPackage, k: KernelSpec) -> Rec
     Hard checks (failures raise ReconcileFailure):
       * the package was built against this kernel table;
       * every estimator lies in [-eps, dim + eps];
-      * the Monte-Carlo estimate matches the exact same-radius average from
-        the coefficients within 3 standard errors (plus a machine-noise
-        floor: closed-form integrands are constant on the sphere, so the
-        sample spread can collapse to rounding level);
+      * the integral matches the exact same-radius average from the
+        coefficients within 3 standard errors plus NOISE_FLOOR * max(1, dim)
+        (closed-form integrands are constant on the sphere, so the sample
+        spread can collapse to rounding level; the product rule has
+        stderr 0 and meets the floor alone);
       * the radius-truncation gap |K_series - K_at_radius| stays within its
         a-priori bound dim * (1 - r^{2 n_theta});
       * for a polynomial theta over a constant-coefficient kernel, with the
@@ -305,7 +376,7 @@ def reconcile(report: CurvatureReport, pkg: DefectPackage, k: KernelSpec) -> Rec
             )
         )
 
-    floor = 1e-13 * max(1.0, float(dim))
+    floor = NOISE_FLOOR * max(1.0, float(dim))
     mc_tol = 3.0 * report.k_integral.stderr + floor
     mc_gap = abs(report.k_integral.estimate - report.k_at_radius_exact)
     checks.append(

@@ -124,9 +124,11 @@ def to_jsonable(obj):
     if isinstance(obj, (np.complexfloating,)):
         return [float(obj.real), float(obj.imag)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # a field marked omit_default is left out while it holds its default
         return {
             f.name: to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
+            if not (f.metadata.get("omit_default") and getattr(obj, f.name) == f.default)
         }
     if isinstance(obj, dict):
         return {str(key): to_jsonable(v) for key, v in obj.items()}

@@ -104,7 +104,9 @@ class PipelineResult:
         bound = termination_bound(pkg, k, self.n_theta)
         is_poly = bound is not None
         k_w = curvature_weighted(profile, pkg.rank_delta)
-        k_int = curvature_integral(pkg, k, radius=s.radius, n_samples=s.n_samples, seed=s.seed)
+        k_int = curvature_integral(
+            pkg, k, radius=s.radius, n_samples=s.n_samples, seed=s.seed, degree=bound
+        )
         fd_rep = self.fd
         k_pure = None  # for an impure tuple or inconsistent horizons
         with suppress(NotPure, IntegerMismatch):

@@ -6,6 +6,7 @@ the text that replaces it, and the test files expected to fail on it.  The
 runner copies the checkout to a temporary directory, applies one edit
 there, runs the test files with `-x` and reports the mutant as caught (the
 tests failed) or survived (they passed).  The checkout is never modified.
+It exits 1 when any chosen mutant survives.
 
     python tests/mutants.py [--full] [NAME ...]
 
@@ -59,8 +60,15 @@ CATALOGUE = [
            "mc_tol = 3.0 * report.k_integral.stderr + floor",
            "mc_tol = 30.0 * report.k_integral.stderr + floor", _GATES),
     Mutant("monte-carlo-floor-1e-3", _CURV,
-           "floor = 1e-13 * max(1.0, float(dim))",
+           "floor = NOISE_FLOOR * max(1.0, float(dim))",
            "floor = 1e-3 * max(1.0, float(dim))", _GATES),
+    Mutant("product-rule-phases-one-short", _CURV,
+           "m = degree + 1", "m = degree", _GATES),
+    Mutant("product-rule-nodes-one-short", _CURV,
+           "leggauss((degree + 2) // 2)", "leggauss((degree + 2) // 2 - 1)", _GATES),
+    Mutant("product-rule-certification-1e-3", _CURV,
+           "if abs(low - high) <= NOISE_FLOOR * max(1.0, float(pkg.rank_delta)):",
+           "if abs(low - high) <= 1e-3 * max(1.0, float(pkg.rank_delta)):", _GATES),
     Mutant("radius-bound-without-r-term", _CURV,
            "radius_bound = dim * (1.0 - r ** (2 * report.n_theta)) + tol.eps_id",
            "radius_bound = dim + tol.eps_id", _GATES),
@@ -120,7 +128,7 @@ def main(argv: list[str]) -> int:
         caught += hit
         print(f"{'caught' if hit else 'survived'}  {m.name}  ({m.file})", flush=True)
     print(f"score: {caught} of {len(chosen)} caught")
-    return 0
+    return 0 if caught == len(chosen) else 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,26 @@
 """Curvature estimators and their reconciliation."""
+import itertools
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cnpcurv as cc
-from cnpcurv.charfn import CharacteristicSeries
+from cnpcurv.charfn import (
+    CharacteristicSeries,
+    _theta_map,
+    sample_ball_points,
+    termination_bound,
+    theta_horizon,
+)
 from cnpcurv.config import DEFAULT
 from cnpcurv.curvature import (
     DegreeProfile,
+    IntegralEstimate,
+    _sphere_rule,
     curvature_integral,
     curvature_pure,
     curvature_weighted,
@@ -164,6 +175,103 @@ class TestIntegralRoute:
         pkg, _ = build(t, k)
         with pytest.raises(ValueError):
             curvature_integral(pkg, k, radius=1.0)
+
+
+def monte_carlo_reference(pkg, k, radius, n_samples, seed):
+    """The Monte-Carlo estimate, computed step by step as curvature_integral
+    computed it before the product rule: equality with it is bit-identity."""
+    points = sample_ball_points(k.d, n_samples, radius, seed)
+    vals = pkg.rank_delta - _theta_map(
+        pkg, k, points, lambda zc, theta: np.sum(np.abs(theta) ** 2, axis=(1, 2))
+    )
+    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
+    return IntegralEstimate(float(vals.mean()), stderr, radius, n_samples, seed)
+
+
+def _certified(t, k):
+    """(package, theta degree bound, profile) at the default horizons."""
+    pkg = cc.defect_package(t, k)
+    n_theta = theta_horizon(pkg, k)
+    return pkg, termination_bound(pkg, k, n_theta), DegreeProfile.build(t, pkg, k, n_theta=n_theta)
+
+
+# the conftest structures in d = 1 and 2, with the kernels valid there
+_RULE_CASES = [(("jordan", 1, None), "szego"), (("jordan", 1, None), "drury-arveson"),
+               (("shift", 2, 2), "drury-arveson"), (("shift", 2, 3), "drury-arveson")]
+
+
+class TestSphereRule:
+    """The product rule curvature_integral runs where theta is certified
+    polynomial and d <= 2."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_monomial_moments_exact(self, d, degree):
+        # on the unit sphere the rule gives sum_j w_j z_j^gamma conj(z_j)^gamma'
+        # = [gamma = gamma'] gamma! (d-1)! / (n + d - 1)!, n = |gamma|, that
+        # is 1 / (q_{d-1}(n) binom(n, gamma)) (Rudin 1980, 1.4), for all
+        # |gamma|, |gamma'| <= degree; the moments come from factorials here
+        points, weights = _sphere_rule(d, degree, 1.0)
+        gammas = [g for g in itertools.product(range(degree + 1), repeat=d) if sum(g) <= degree]
+        mono = np.stack([np.prod(points ** np.array(g), axis=1) for g in gammas], axis=1)
+        moments = (weights[:, None] * mono).T @ mono.conj()
+        exact = np.diag([
+            math.prod(map(math.factorial, g)) * math.factorial(d - 1) / math.factorial(sum(g) + d - 1)
+            for g in gammas
+        ])
+        assert np.abs(moments - exact).max() <= 1e-14
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.sampled_from(_RULE_CASES), seed=st.integers(0, 2**32 - 1),
+           radius=st.floats(0.05, 0.999))
+    def test_matches_exact_sphere_average(self, case, seed, radius):
+        structure, name = case
+        t = random_nilpotent_tuple(np.random.default_rng(seed), structure=structure)
+        k = cc.preset(name, d=t.d, N=16)
+        pkg, bound, profile = _certified(t, k)
+        est = curvature_integral(pkg, k, radius=radius, degree=bound)
+        assert est.method == "product-rule" and est.stderr == 0.0
+        assert abs(est.estimate - (pkg.rank_delta - profile.sphere_average(radius))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_capped_by_samples(self, d):
+        # the rules of degree D and D + 1 take (D + 1) + (D + 2) points at
+        # d = 1 and (D + 1)^2 ceil((D + 1) / 2) + (D + 2)^2 ceil((D + 2) / 2)
+        # at d = 2; one point fewer than both need falls back to Monte Carlo
+        structure = ("jordan", 1, None) if d == 1 else ("shift", 2, 3)
+        t = random_nilpotent_tuple(np.random.default_rng(4), structure=structure)
+        k = cc.preset("drury-arveson", d=d, N=16)
+        pkg, bound, _ = _certified(t, k)
+        used = sum((n + 1) ** d * ((n + 2) // 2) ** (d - 1) for n in (bound, bound + 1))
+        est = curvature_integral(pkg, k, n_samples=used, seed=3, degree=bound)
+        assert est.method == "product-rule" and est.n_samples == used
+        est = curvature_integral(pkg, k, n_samples=used - 1, seed=3, degree=bound)
+        assert est == monte_carlo_reference(pkg, k, 0.999, used - 1, 3)
+
+    @pytest.mark.parametrize("structure", [("jordan", 1, None), ("shift", 2, 2)])
+    def test_rules_disagree_below_the_integrand_degree(self, structure):
+        # the integrand (1 - k_N(|z|^2)) ||(I - B(z))^{-*} Delta||_F^2 has
+        # degree at most nd - 1, below theta's bound nd - 1 + b-support, so
+        # a bound one short still gives an exact rule; degree 0 is short of
+        # the integrand's here (by one for the shift, nd = 2).  The rules of
+        # degree 0 and 1 differ by 7e-7 (jordan) and 3e-4 (shift): far above
+        # the noise floor and below 1e-3, so Monte Carlo runs
+        t = random_nilpotent_tuple(np.random.default_rng(1), structure=structure)
+        k = cc.preset("drury-arveson", d=t.d, N=16)
+        pkg = cc.defect_package(t, k)
+        est = curvature_integral(pkg, k, n_samples=200, seed=2, degree=0)
+        assert est == monte_carlo_reference(pkg, k, 0.999, 200, 2)
+
+    @pytest.mark.parametrize("t,name,run_settings", [
+        (random_nilpotent_tuple(np.random.default_rng(6), structure=("shift", 3, 2)),
+         "drury-arveson", RunSettings(n_samples=300, n_max=6)),            # d = 3
+        (cc.load_tuple([np.zeros((2, 2))]), "dirichlet",                   # not certified
+         RunSettings(n_op=40, n_theta=40, n_samples=300, n_max=6)),        # polynomial
+    ], ids=["d3", "dirichlet"])
+    def test_monte_carlo_elsewhere(self, t, name, run_settings):
+        k = cc.preset(name, d=t.d, N=44)
+        res = run_curvature(t, k, run_settings)
+        assert res.report.k_integral == monte_carlo_reference(res.pkg, k, 0.999, 300, 7)
 
 
 class TestPureRoute:

@@ -1,10 +1,12 @@
-"""Tuple validation, defect construction, purity, unitary conjugation."""
+"""Tuple validation, defect construction, tail certificates, purity,
+unitary conjugation."""
+import functools
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cnpcurv as cc
 from cnpcurv.comb import q
@@ -15,7 +17,7 @@ from cnpcurv.errors import (
     ShapeError,
     TailUnbounded,
 )
-from cnpcurv.tuples import default_horizon, op_norm
+from cnpcurv.tuples import _tail_certificate, default_horizon, op_norm
 
 from conftest import jordan_block, random_commuting_tuple, random_nilpotent_tuple, random_unitary
 from oracles import nilpotency_degree_reference, purity_reference
@@ -258,6 +260,71 @@ class TestDefectPackage:
         p1 = cc.defect_package(t, k, n_op=n0)
         p2 = cc.defect_package(t, k, n_op=n0 + 5)
         assert op_norm(p1.s_n - p2.s_n) <= 1e-14
+
+
+# The longer horizon N' the omitted defect-series tail is summed to.
+_N_LONG = 200
+
+
+@functools.cache
+def _long_dirichlet(d: int) -> cc.KernelSpec:
+    return cc.preset("dirichlet", d=d, N=_N_LONG)
+
+
+def _omitted_tail(t, n_op: int) -> float:
+    """||sum_{n_op < n <= N'} b_n sigma^n(I)||, sigma(X) = sum_i T_i X T_i*,
+    with b from the dirichlet table at horizon N': the part of the defect
+    series a package cut at n_op leaves out, summed far past its kernel
+    horizon."""
+    b = _long_dirichlet(t.d).b
+    x = np.eye(t.dim_h, dtype=complex)
+    tail = np.zeros_like(x)
+    for n in range(1, _N_LONG + 1):
+        x = sum(m @ x @ m.conj().T for m in t.ops)
+        if n > n_op:
+            tail += b[n] * x
+    return op_norm(tail)
+
+
+class TestTailCertificate:
+    """_tail_certificate(t, k, n_op) bounds the omitted tail past n_op over
+    the dirichlet kernel (b never vanishes), whose table stops at N = n_op +
+    extra: from the b_n up to N and the b-mass left beyond it.  The tail is
+    summed here to N' = 200, from sigma^n(I) itself."""
+
+    # d = 1 diagonal: ||sigma^n(I)|| = rho^n exactly, so the certificate's
+    # only slack is its residual-mass term.  Over rho <= 0.95 and
+    # n_op < N <= 24 it stays within a factor 8.5 of the tail; 10 is the
+    # stated factor.  The example has rho = 0.9025 and N = 12, where the b_n
+    # past N and b_{n_op+1} alone are each far above rounding, so dropping
+    # the residual mass or the first omitted degree falls below the tail.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        moduli=st.lists(st.floats(0.0, 0.97), min_size=1, max_size=4),
+        n_op=st.integers(1, 6),
+        extra=st.integers(1, 18),
+    )
+    @example(moduli=[0.95, 0.3], n_op=3, extra=9)
+    def test_diagonal_d1_within_factor(self, moduli, n_op, extra):
+        t = cc.load_tuple([np.diag(moduli).astype(complex)])
+        cert = _tail_certificate(t, cc.preset("dirichlet", d=1, N=n_op + extra), n_op)
+        tail = _omitted_tail(t, n_op)
+        assert tail <= cert * (1 + 1e-12)
+        assert cert <= 10 * tail
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        dim=st.integers(2, 4),
+        n_op=st.integers(1, 6),
+        extra=st.integers(1, 18),
+    )
+    def test_commuting_at_least_tail(self, seed, d, dim, n_op, extra):
+        # rho = sum_i ||T_i||^2 = 0.7 < 1
+        t = random_commuting_tuple(np.random.default_rng(seed), d, dim)
+        cert = _tail_certificate(t, cc.preset("dirichlet", d=d, N=n_op + extra), n_op)
+        assert _omitted_tail(t, n_op) <= cert * (1 + 1e-12)
 
 
 class TestPurity:
