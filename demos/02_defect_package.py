@@ -35,7 +35,7 @@ print("\nStructural identities:")
 print(f"  || Delta^2 + Ttilde Ttilde* - I || = {pkg.delta_identity_residual:.2e}")
 print(f"  || Ttilde Dtilde - Delta Ttilde || = {pkg.intertwine_residual:.2e}")
 
-rep = purity(t, k, pkg)
+rep = purity(pkg, k)
 print(f"\nPurity series partial sum (terminates exactly: {rep.exact}):")
 print(np.round(np.real(rep.p_n), 12))
 print(f"purity residual || I - P || = {rep.purity_residual:.2e}")
@@ -52,6 +52,6 @@ k40 = preset("szego", d=1, N=40)
 pkg_h = defect_package(th, k40, n_op=20)
 print(f"Delta = {pkg_h.delta[0,0]:.6f}  (sqrt(3)/2 = {np.sqrt(3)/2:.6f})")
 print(f"tail bound: {pkg_h.tail_bound:.3e}")
-rep_h = purity(th, k40, pkg_h, n_op=20)
+rep_h = purity(pkg_h, k40, n_op=20)
 print(f"purity residual at horizon 20: {rep_h.purity_residual:.3e} "
       f"(geometric: 4^-21 = {0.25**21:.3e})")

@@ -30,12 +30,12 @@ J = np.zeros((3, 3)); J[1, 0] = J[2, 1] = 1.0
 t = load_tuple([J])
 k = preset("szego", d=1, N=16)
 pkg = defect_package(t, k)
-pur = purity(t, k, pkg)
+pur = purity(pkg, k)
 rep = fd_report(pkg, k, purity_residual=pur.purity_residual)
 print(f"evaluation rank: fd = {rep.fd_eval}  [{rep.label}], attained by "
       f"{100 * rep.attained_fraction:.0f}% of samples")
 
-seq = fd_by_grading(t, pkg, k, 14)
+seq = fd_by_grading(pkg, k, 14)
 print("graded quotients:", np.round(seq, 4))
 print("  (h(n) = q_1(n) - 3 from n = 2 on: the quotient module has dimension dimH = 3)")
 

@@ -5,7 +5,7 @@ Layers, bottom up:
 
 * comb      exact multi-index combinatorics (integers and fractions only)
 * kernel    coefficient tables a_n, b_n, weight rows, regularity trends
-* tuples    commuting tuples, contraction test, defect package, purity walk
+* tuples    commuting tuples, contraction test, one sigma walk for S_N and purity
 * charfn    characteristic function: point evaluation and Taylor series
 * traces    the multiplication matrix on truncated polynomial spaces
 * curvature the degree profile (from the sigma traces of the purity walk)

@@ -32,7 +32,7 @@ from .errors import (
     ReconcileFailure,
 )
 from .kernel import KernelSpec, weights
-from .tuples import DefectPackage, OperatorTuple, purity
+from .tuples import DefectPackage, purity
 
 __all__ = [
     "DegreeProfile",
@@ -67,7 +67,6 @@ class DegreeProfile:
     @classmethod
     def build(
         cls,
-        t: OperatorTuple,
         pkg: DefectPackage,
         k: KernelSpec,
         n_max: int = 0,
@@ -91,7 +90,7 @@ class DegreeProfile:
             raise HorizonExceeded(f"degree {n_max} beyond kernel horizon {k.N}")
         n_theta = theta_horizon(pkg, k, n_theta)
         if traces is None:
-            traces = purity(t, k, pkg, n_traces=n_theta).traces
+            traces = purity(pkg, k, n_traces=n_theta).traces
         b = k.b[1 : pkg.n_op + 1]
         at = k.a_truncated(pkg.n_op, n_theta)
         g = at**2 * traces[: n_theta + 1] / np.array([q(k.d - 1, m) for m in range(n_theta + 1)])
@@ -353,7 +352,7 @@ def reconcile(report: CurvatureReport, pkg: DefectPackage, k: KernelSpec) -> Rec
         value: at any finite degree the quotient lags the other two routes
         whenever the E-trace sequence is still increasing.
     """
-    if pkg.kernel_fingerprint != k.fingerprint():
+    if pkg.kernel.fingerprint() != k.fingerprint():
         raise ReconcileFailure("package built against a different kernel table")
 
     tol = pkg.tol

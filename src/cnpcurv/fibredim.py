@@ -21,7 +21,7 @@ from .charfn import _theta_map
 from .comb import q
 from .errors import HorizonExceeded
 from .kernel import KernelSpec
-from .tuples import DefectPackage, OperatorTuple
+from .tuples import DefectPackage
 
 __all__ = [
     "FibreDimReport",
@@ -88,7 +88,7 @@ def fd_report(
     )
 
 
-def fd_by_grading(t: OperatorTuple, pkg: DefectPackage, k: KernelSpec, n_max: int) -> np.ndarray:
+def fd_by_grading(pkg: DefectPackage, k: KernelSpec, n_max: int) -> np.ndarray:
     """h(n) / q_d(n) for n = 0..n_max, with h(n) = dim P_n Ran M_theta,
     from a finite sigma walk on the dimH side.
 
@@ -121,11 +121,11 @@ def fd_by_grading(t: OperatorTuple, pkg: DefectPackage, k: KernelSpec, n_max: in
         raise ValueError("n_max must be >= 0")
     if n_max > k.N:
         raise HorizonExceeded(f"n_max = {n_max} beyond kernel horizon {k.N}")
-    n_op, dim = pkg.n_op, t.dim_h
+    n_op, dim = pkg.n_op, pkg.dim_h
     at = k.a_truncated(n_op, n_max)
     factors = [np.eye(dim, dtype=complex)]
     for _ in range(n_max + n_op):
-        x = np.hstack([ti @ factors[-1] for ti in t.ops])
+        x = np.hstack([ti @ factors[-1] for ti in pkg.t.ops])
         factors.append(np.linalg.qr(x.conj().T, mode="r").conj().T)
     factors = np.array(factors)
     counts = np.array([q(k.d, n) for n in range(n_max + 1)])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational as RationalABC
 
 import numpy as np
@@ -239,10 +240,19 @@ class WeightTable:
 
     n: int
     w: np.ndarray
-    w_exact: tuple[Fraction, ...] | None = None
+    kernel: KernelSpec
 
     def __post_init__(self) -> None:
         self.w.setflags(write=False)
+
+    @cached_property
+    def w_exact(self) -> tuple[Fraction, ...] | None:
+        """The row in the kernel's rational tables, or None; built on first read."""
+        ae, be, n = self.kernel.a_exact, self.kernel.b_exact, self.n
+        if ae is None or be is None:
+            return None
+        rows = [ae[i] * (1 - sum(be[1 : n - i + 1], Fraction(0))) for i in range(n)]
+        return (*rows, ae[n])
 
 
 def weights(kernel: KernelSpec, n: int) -> WeightTable:
@@ -257,15 +267,7 @@ def weights(kernel: KernelSpec, n: int) -> WeightTable:
     for i in range(n):
         w[i] = kernel.a[i] * (1.0 - cum[n - i])
     w[n] = kernel.a[n]
-    w_exact = None
-    if kernel.a_exact is not None and kernel.b_exact is not None:
-        ae, be = kernel.a_exact, kernel.b_exact
-        rows = [
-            ae[i] * (1 - sum(be[1 : n - i + 1], Fraction(0))) for i in range(n)
-        ]
-        rows.append(ae[n])
-        w_exact = tuple(rows)
-    return WeightTable(n=n, w=w, w_exact=w_exact)
+    return WeightTable(n=n, w=w, kernel=kernel)
 
 
 # -- regularity trends ----------------------------------------------------

@@ -2,11 +2,11 @@
 
 A PipelineResult is one run: pkg -> purity (walked to n_theta) -> profile
 -> fd -> report.  Each stage is built on first read and kept, so a caller
-runs only the stages it reads, each once.  The report builds no Taylor
-series: whether theta is a polynomial, and the degree bound, come from
-charfn.termination_bound; the series stage serves `theta --taylor`.  The
-defect package carries the run's tolerances (RunSettings.tol); every later
-stage reads them there.
+runs only the stages it reads, each once; only an evaluation of theta builds
+the block row.  The report builds no Taylor series: whether theta is a
+polynomial, and the degree bound, come from charfn.termination_bound; the
+series stage serves `theta --taylor`.  The defect package carries the run's
+tolerances (RunSettings.tol); every later stage reads them there.
 """
 from __future__ import annotations
 
@@ -49,9 +49,9 @@ class RunSettings:
 class PipelineResult:
     """One run of tuple t over kernel k under settings.
 
-    One sigma walk sums the purity series and gives the traces of the degree
-    profile, which every scalar route reads.  The graded fibre dimension
-    walks sigma on factors of its own.  The report reads no Taylor series;
+    tuples.sigma_walk gives S_N to the package, then sums the purity series
+    and the traces of the degree profile, which every scalar route reads.
+    The graded fibre dimension walks sigma on factors of its own.  The report reads no Taylor series;
     the series stage is built only when a caller reads it."""
 
     def __init__(self, t: OperatorTuple, k: KernelSpec, settings: RunSettings = RunSettings()):
@@ -67,12 +67,12 @@ class PipelineResult:
 
     @cached_property
     def purity(self) -> PurityReport:
-        return purity(self.t, self.k, self.pkg, n_traces=self.n_theta)
+        return purity(self.pkg, self.k, n_traces=self.n_theta)
 
     @cached_property
     def profile(self) -> DegreeProfile:
         return DegreeProfile.build(
-            self.t, self.pkg, self.k, self.settings.n_max, self.n_theta, traces=self.purity.traces
+            self.pkg, self.k, self.settings.n_max, self.n_theta, traces=self.purity.traces
         )
 
     @cached_property
@@ -83,7 +83,7 @@ class PipelineResult:
         """The evaluation rank over n_samples points of the given radius and
         seed, with the graded dimensions up to settings.n_max."""
         rep = fd_report(self.pkg, self.k, n_samples, radius, seed, self.purity.purity_residual)
-        graded = fd_by_grading(self.t, self.pkg, self.k, self.settings.n_max)
+        graded = fd_by_grading(self.pkg, self.k, self.settings.n_max)
         return replace(
             rep,
             graded_dims=graded,

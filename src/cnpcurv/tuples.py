@@ -4,10 +4,10 @@ Given a commuting d-tuple T = (T_1..T_d) on C^dimH and a kernel, this module
 builds the truncated defect series S_N = sum b_alpha T^alpha (T^alpha)*, the
 defect operator Delta = (I - S_N)^{1/2}, the block-row operator Ttilde with
 blocks sqrt(b_alpha) T^alpha, its defect Dtilde = (I - Ttilde* Ttilde)^{1/2},
-and orthonormal bases of both ranges.  Blocks with b_{|alpha|} = 0 contribute
-nothing to any of these operators (their columns of the block row vanish and
-the corresponding directions are annihilated by every evaluation downstream),
-so they are omitted from the block index set.
+and orthonormal bases of both ranges.  S_N = sum_n b_n sigma^n(I) and the
+purity series come from one walk of sigma(X) = sum_i T_i X T_i* (sigma_walk);
+only theta reads Ttilde.  Blocks with b_{|alpha|} = 0 add nothing to these
+operators, so they are omitted from the block index set.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .comb import MultiIndex, enumerate_degree
+from .comb import enumerate_degree, q
 from .config import DEFAULT, Tolerances
 from .errors import (
     CommutatorError,
@@ -38,6 +38,7 @@ __all__ = [
     "nilpotency_degree",
     "defect_package",
     "purity",
+    "sigma_walk",
     "conjugate_by_unitary",
 ]
 
@@ -165,6 +166,15 @@ def _degree_powers(ops, max_degree: int):
         prev = {alpha.entries: ta for alpha, ta in level}
 
 
+def sigma_walk(ops, x: np.ndarray, n: int):
+    """Yield x, sigma(x), ..., sigma^n(x), sigma(X) = sum_i T_i X T_i*, one
+    matrix at a time: only the current one is kept."""
+    yield x
+    for _ in range(n):
+        x = sum(ti @ x @ ti.conj().T for ti in ops)
+        yield x
+
+
 def _norm_at_most(a: np.ndarray, eps: float) -> bool:
     """||a||_2 <= eps, deciding from ||a||_F where that settles it.
 
@@ -208,83 +218,101 @@ def nilpotency_degree(t: OperatorTuple) -> int | None:
     return None
 
 
+def _tilde(key: str, doc: str) -> property:
+    """A read of DefectPackage._tilde_side, which builds it on first use."""
+    return property(lambda pkg: pkg._tilde_side[key], doc=doc)
+
+
 @dataclass(frozen=True)
 class DefectPackage:
-    """Defect data of a tuple relative to a kernel at horizon n_op.
+    """Defect data of a tuple t relative to a kernel at horizon n_op.
 
     W (dimH x rank_delta) and V (tilde_dim x rank_d) are orthonormal bases of
     Ran Delta and Ran Dtilde.  tilde_index_set lists the blocks of the block
     row Ttilde (multi-indices alpha with 1 <= |alpha| <= n_op and
     b_{|alpha|} > 0, by degree then lexicographic).
 
-    The dimH side (S_N, Delta, W, rank_delta, the identity residual) and the
-    block row Ttilde are built with the package.  The tilde side (Dtilde, V,
-    rank_d and the intertwining residual) needs an eigendecomposition of the
-    tilde_dim x tilde_dim matrix I - Ttilde* Ttilde, so it is built on first
-    read, with the package's tolerances, and kept: the sigma walk, purity and
-    the degree profile never read it.  So is theta's realization.  Every
+    The dimH side (S_N, Delta, W, rank_delta) is built with the package,
+    from the sigma walk.  The tilde side (Ttilde and its index set, Dtilde,
+    V, rank_d, the identity and intertwining residuals) is built on first
+    read, with the package's tolerances, and kept: only theta reads it,
+    through the realization.  tilde_dim is counted without it.  Every
     estimator that reads the package takes its gates from tol.
     """
 
+    t: OperatorTuple
+    kernel: KernelSpec
     n_op: int
-    tilde_index_set: tuple[MultiIndex, ...]
     s_n: np.ndarray
     delta: np.ndarray
     rank_delta: int
     w: np.ndarray
-    t_tilde: np.ndarray
     tail_bound: float
-    delta_identity_residual: float   # || Delta^2 + Ttilde Ttilde* - I ||
-    kernel_fingerprint: tuple
-    dim_h: int
-    nilpotent_degree: int | None
     tol: Tolerances
-    block_exps: np.ndarray           # the blocks' alpha, n_blocks x d
-    block_roots: np.ndarray          # sqrt(b_alpha) per block
+
+    t_tilde = _tilde("t_tilde", "The block row [sqrt(b_alpha) T^alpha], dimH x tilde_dim.")
+    tilde_index_set = _tilde("index_set", "The blocks' alpha, in column order.")
+    d_tilde = _tilde("d_tilde", "Dtilde = (I - Ttilde* Ttilde)^{1/2}.")
+    v = _tilde("v", "Orthonormal basis of Ran Dtilde.")
+    rank_d = _tilde("rank_d", "dim Ran Dtilde.")
+    delta_identity_residual = _tilde("identity", "|| Delta^2 + Ttilde Ttilde* - I ||.")
+    intertwine_residual = _tilde("intertwine", "|| Ttilde Dtilde - Delta Ttilde ||.")
+
+    @property
+    def dim_h(self) -> int:
+        return self.t.dim_h
+
+    @property
+    def nilpotent_degree(self) -> int | None:
+        return self.t.nilpotent_degree
 
     @property
     def tilde_dim(self) -> int:
-        return self.t_tilde.shape[1]
-
-    def block_slice(self, k: int) -> slice:
-        return slice(k * self.dim_h, (k + 1) * self.dim_h)
+        """dimH times the number of blocks, counted without building them."""
+        live = [n for n in range(1, self.n_op + 1) if self.kernel.b[n] > 0.0]
+        return self.dim_h * sum(q(self.t.d - 1, n) for n in live)
 
     @cached_property
-    def _tilde_side(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(Dtilde, V, || Ttilde Dtilde - Delta Ttilde ||), built once."""
-        gram = self.t_tilde.conj().T @ self.t_tilde
+    def _tilde_side(self) -> dict:
+        """Ttilde, its index set and sqrt(b_alpha) per block, Dtilde, V and
+        the two residuals, built once."""
+        dim, k = self.dim_h, self.kernel
+        index_set, blocks, roots = [], [], []
+        for n, level in enumerate(_degree_powers(self.t.ops, self.n_op), start=1):
+            if k.b[n] <= 0.0:
+                continue
+            for alpha, ta in level:
+                roots.append(np.sqrt(k.b_of(alpha)))
+                blocks.append(roots[-1] * ta)
+                index_set.append(alpha)
+        t_tilde = np.hstack(blocks) if blocks else np.zeros((dim, 0), dtype=complex)
+        gram = t_tilde.conj().T @ t_tilde
         d_tilde, tvals, tvecs = _psqrt(np.eye(gram.shape[0]) - gram, clamp_top=None)
         v = _range_basis(tvals, tvecs, self.tol.eps_rank)
-        intertwine = op_norm(self.t_tilde @ d_tilde - self.delta @ self.t_tilde)
-        return d_tilde, v, intertwine
-
-    @property
-    def d_tilde(self) -> np.ndarray:
-        return self._tilde_side[0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._tilde_side[1]
-
-    @property
-    def rank_d(self) -> int:
-        return self.v.shape[1]
-
-    @property
-    def intertwine_residual(self) -> float:
-        return self._tilde_side[2]
+        return {
+            "t_tilde": t_tilde,
+            "index_set": tuple(index_set),
+            "exps": np.array([a.entries for a in index_set], dtype=int).reshape(-1, self.t.d),
+            "roots": np.array(roots),
+            "d_tilde": d_tilde,
+            "v": v,
+            "rank_d": v.shape[1],
+            "identity": op_norm(self.delta @ self.delta + t_tilde @ t_tilde.conj().T - np.eye(dim)),
+            "intertwine": op_norm(t_tilde @ d_tilde - self.delta @ t_tilde),
+        }
 
     @cached_property
     def realization(self) -> tuple:
         """theta(z) = A_0 + W* Delta (I - B(z))^{-1} Z(z) Dtilde V (see charfn):
         alpha, sqrt(b_alpha), Ttilde_alpha* and (Dtilde V)_alpha stacked over
         the blocks, then A_0 = -W* Ttilde V and W* Delta."""
-        dim, n_blocks = self.dim_h, len(self.tilde_index_set)
+        side, dim = self._tilde_side, self.dim_h
+        n_blocks = len(side["index_set"])
         # t_tilde[i, alpha * dim + j] is entry (i, j) of the alpha-block
         adj = self.t_tilde.reshape(dim, n_blocks, dim).conj().transpose(1, 2, 0)
         dv = (self.d_tilde @ self.v).reshape(n_blocks, dim, self.rank_d)
         const = -self.w.conj().T @ self.t_tilde @ self.v
-        return self.block_exps, self.block_roots, adj, dv, const, self.w.conj().T @ self.delta
+        return side["exps"], side["roots"], adj, dv, const, self.w.conj().T @ self.delta
 
 
 def default_horizon(t: OperatorTuple) -> int | None:
@@ -325,12 +353,11 @@ def defect_package(
     n_op: int | None = None,
     tol: Tolerances = DEFAULT,
 ) -> DefectPackage:
-    """Build S_N, Delta, W and Ttilde at horizon n_op (default:
-    default_horizon(t), raised to the kernel's b-support bound if it has one,
-    so that theta_horizon's default needs no block beyond it).
+    """Build S_N = sum_{1 <= j <= n_op, b_j > 0} b_j sigma^j(I), Delta and W
+    at horizon n_op (default: default_horizon(t), raised to the kernel's
+    b-support bound if it has one, so that theta_horizon's default needs no
+    block beyond it).  The tilde side is built on first read (DefectPackage).
 
-    Dtilde, V, rank_d and the intertwining residual are not built here: the
-    package builds them, with tol, the first time one of them is read.
     Raises NotContraction when the truncated series has an eigenvalue above
     1 + eps_id (checked first on its degree-one terms, before any power of
     T is built, so huge norms cannot overflow), and TailUnbounded when the
@@ -360,21 +387,10 @@ def defect_package(
         )
 
     dim = t.dim_h
-    index_set = []
     s_n = np.zeros((dim, dim), dtype=complex)
-    blocks, roots = [], []
-    for n, level in enumerate(_degree_powers(t.ops, n_op), start=1):
-        if k.b[n] <= 0.0:
-            continue
-        for alpha, ta in level:
-            b_alpha = k.b_of(alpha)
-            s_n += b_alpha * (ta @ ta.conj().T)
-            roots.append(np.sqrt(b_alpha))
-            blocks.append(roots[-1] * ta)
-            index_set.append(alpha)
-    t_tilde = (
-        np.hstack(blocks) if blocks else np.zeros((dim, 0), dtype=complex)
-    )
+    for j, x in enumerate(sigma_walk(t.ops, np.eye(dim, dtype=complex), n_op)):
+        if j >= 1 and k.b[j] > 0.0:
+            s_n += float(k.b[j]) * x
 
     lam_max = float(np.linalg.eigvalsh(0.5 * (s_n + s_n.conj().T))[-1]) if dim else 0.0
     if lam_max > 1.0 + tol.eps_id:
@@ -384,24 +400,10 @@ def defect_package(
 
     delta, dvals, dvecs = _psqrt(np.eye(dim) - s_n, clamp_top=1.0)
     w = _range_basis(dvals, dvecs, tol.eps_rank)
-    id_res = op_norm(delta @ delta + t_tilde @ t_tilde.conj().T - np.eye(dim))
 
     return DefectPackage(
-        n_op=n_op,
-        tilde_index_set=tuple(index_set),
-        s_n=s_n,
-        delta=delta,
-        rank_delta=w.shape[1],
-        w=w,
-        t_tilde=t_tilde,
-        tail_bound=tail,
-        delta_identity_residual=id_res,
-        kernel_fingerprint=k.fingerprint(),
-        dim_h=dim,
-        nilpotent_degree=nd,
-        tol=tol,
-        block_exps=np.array([a.entries for a in index_set], dtype=int).reshape(len(index_set), t.d),
-        block_roots=np.array(roots),
+        t=t, kernel=k, n_op=n_op, s_n=s_n, delta=delta, rank_delta=w.shape[1], w=w,
+        tail_bound=tail, tol=tol,
     )
 
 
@@ -419,18 +421,17 @@ class PurityReport:
 
 
 def purity(
-    t: OperatorTuple,
-    k: KernelSpec,
     pkg: DefectPackage,
+    k: KernelSpec,
     n_op: int | None = None,
     n_traces: int = 0,
 ) -> PurityReport:
     """Evaluate the purity series partial sum at horizon n_op.
 
-    Degree n of the series is a_n sigma^n(Delta^2) with sigma(X) =
-    sum_i T_i X T_i*, because T commutes and a_alpha = a_n n!/alpha!.  The
-    walk runs on to degree n_traces when that is larger and records every
-    trace tr sigma^m(Delta^2), for the degree profile.
+    Degree n of the series is a_n sigma^n(Delta^2), because T commutes and
+    a_alpha = a_n n!/alpha!: one sigma_walk from Delta^2 sums it.  The walk
+    runs on to degree n_traces when that is larger and records every trace
+    tr sigma^m(Delta^2), for the degree profile.
     exact is True when the tuple is jointly nilpotent and the horizon covers
     every nonvanishing term, in which case the series has terminated.
     """
@@ -438,15 +439,13 @@ def purity(
         n_op = pkg.n_op
     if n_op > k.N:
         raise HorizonExceeded(f"n_op = {n_op} beyond kernel horizon N = {k.N}")
-    x = pkg.delta @ pkg.delta
-    p = float(k.a[0]) * x
-    traces = [np.trace(x).real]
-    for n in range(1, max(n_op, n_traces) + 1):
-        x = sum(ti @ x @ ti.conj().T for ti in t.ops)
+    p = np.zeros((pkg.dim_h, pkg.dim_h), dtype=complex)
+    traces = []
+    for n, x in enumerate(sigma_walk(pkg.t.ops, pkg.delta @ pkg.delta, max(n_op, n_traces))):
         traces.append(np.trace(x).real)
         if n <= n_op:
             p += float(k.a[n]) * x
-    residual = op_norm(np.eye(t.dim_h) - p)
+    residual = op_norm(np.eye(pkg.dim_h) - p)
     nd = pkg.nilpotent_degree
     exact = nd is not None and n_op >= nd - 1
     return PurityReport(

@@ -87,6 +87,12 @@ CATALOGUE = [
     Mutant("tail-certificate-skips-first-degree", "src/cnpcurv/tuples.py",
            "for n in range(n_op + 1, k.N + 1)", "for n in range(n_op + 2, k.N + 1)",
            ("tests/test_tuples.py",)),
+    Mutant("sigma-walk-adjoint", "src/cnpcurv/tuples.py",
+           "x = sum(ti @ x @ ti.conj().T for ti in ops)",
+           "x = sum(ti.conj().T @ x @ ti for ti in ops)", ("tests/test_tuples.py",)),
+    Mutant("s-n-skips-first-degree", "src/cnpcurv/tuples.py",
+           "if j >= 1 and k.b[j] > 0.0:", "if j >= 2 and k.b[j] > 0.0:",
+           ("tests/test_tuples.py",)),
 ]
 
 

@@ -44,9 +44,15 @@ no Dtilde, V or range basis, and forms the small quantity directly where
 the library gets it by cancellation.
 
 tilde_reference builds the tilde side (Dtilde, V, rank_d and the
-intertwining residual) from the package's Ttilde and Delta by the code
-cnpcurv.tuples.defect_package ran eagerly before the package built that
-side on first read; the lazy side must equal it bit for bit.
+intertwining residual) from a block row of its own, over monomial_powers,
+and the package's Delta, by the code cnpcurv.tuples.defect_package ran
+eagerly before the package built that side on first read; the lazy side
+must equal it bit for bit.
+
+block_sum_reference sums the defect series S_N = sum b_alpha T^alpha
+(T^alpha)* one multi-index at a time over monomial_powers.
+cnpcurv.tuples.defect_package sums b_n sigma^n(I) along the sigma walk
+instead, which equals it only because T commutes and b_alpha = b_n n!/alpha!.
 
 The dense graded traces (mz_matrix, phi_apply, trace_E/P, trace_phi_E,
 dpsi_trace_partial, weighted_degree_trace, multiplier_gram,
@@ -73,9 +79,35 @@ from cnpcurv.traces import multiplier_matrix
 from cnpcurv.tuples import _degree_powers, _psqrt, _range_basis, op_norm
 
 
+def block_row_reference(t, k, n_op: int) -> np.ndarray:
+    """Ttilde = [sqrt(b_alpha) T^alpha] over 1 <= |alpha| <= n_op with
+    b_{|alpha|} > 0, by degree then lexicographic."""
+    powers = monomial_powers(t, n_op)
+    blocks = [
+        np.sqrt(k.b_of(alpha)) * powers[alpha.entries]
+        for n in range(1, n_op + 1) if k.b[n] > 0.0
+        for alpha in enumerate_degree(t.d, n)
+    ]
+    return np.hstack(blocks) if blocks else np.zeros((t.dim_h, 0), dtype=complex)
+
+
+def block_sum_reference(t, k, n_op: int) -> np.ndarray:
+    """S_N = sum b_alpha T^alpha (T^alpha)* over 1 <= |alpha| <= n_op with
+    b_{|alpha|} > 0, one multi-index at a time."""
+    powers = monomial_powers(t, n_op)
+    s_n = np.zeros((t.dim_h, t.dim_h), dtype=complex)
+    for n in range(1, n_op + 1):
+        if k.b[n] <= 0.0:
+            continue
+        for alpha in enumerate_degree(t.d, n):
+            ta = powers[alpha.entries]
+            s_n += k.b_of(alpha) * (ta @ ta.conj().T)
+    return s_n
+
+
 def tilde_reference(pkg, tol: Tolerances = DEFAULT):
     """(Dtilde, V, rank_d, || Ttilde Dtilde - Delta Ttilde ||), eagerly."""
-    t_tilde, delta = pkg.t_tilde, pkg.delta
+    t_tilde, delta = block_row_reference(pkg.t, pkg.kernel, pkg.n_op), pkg.delta
     gram = t_tilde.conj().T @ t_tilde
     d_tilde, tvals, tvecs = _psqrt(np.eye(gram.shape[0]) - gram, clamp_top=None)
     v = _range_basis(tvals, tvecs, tol.eps_rank)
@@ -103,9 +135,9 @@ def resolvent_input(pkg, k, z):
     eye = np.eye(dim)
     for idx, alpha in enumerate(pkg.tilde_index_set):
         psi = np.sqrt(k.b_of(alpha)) * _z_power(z, alpha)
-        block = pkg.t_tilde[:, pkg.block_slice(idx)]
-        b += psi * block.conj().T
-        z_row[:, pkg.block_slice(idx)] = psi * eye
+        cols = slice(idx * dim, (idx + 1) * dim)
+        b += psi * pkg.t_tilde[:, cols].conj().T
+        z_row[:, cols] = psi * eye
     return b, z_row
 
 

@@ -186,7 +186,7 @@ class TestCriterion5:
             }
             single = nonzero == {(kdim,)}
             modulus = abs(series.coeffs[(kdim,)][0, 0])
-            profile = DegreeProfile.build(t, pkg, kern, 12)
+            profile = DegreeProfile.build(pkg, kern, 12)
             dpsi = profile.series_value
             kw = curvature_weighted(profile, pkg.rank_delta)
             kw_ok = bool(np.all(np.abs(kw[kdim:]) <= 1e-10))
@@ -194,7 +194,7 @@ class TestCriterion5:
             target = 1.0 - radius ** (2 * kdim)
             mc_ok = abs(est.estimate - target) <= 3 * est.stderr + MC_FLOOR
             fd = fd_report(pkg, kern).fd_eval
-            pur = cc.purity(t, kern, pkg)
+            pur = cc.purity(pkg, kern)
             kp = curvature_pure(pkg, series.is_polynomial, profile, fd, pur.purity_residual)
 
             case_ok = (
@@ -223,7 +223,7 @@ class TestCriterion6:
         t = cc.load_tuple([np.zeros((m, m))])
         pkg = cc.defect_package(t, k, n_op=n_theta)
 
-        dpsi = DegreeProfile.build(t, pkg, k, n_theta=n_theta).series_value
+        dpsi = DegreeProfile.build(pkg, k, n_theta=n_theta).series_value
         partial = m * k.b_partial_sum(n_theta)
         series_ok = abs(dpsi - partial) <= 1e-12
 
@@ -396,13 +396,13 @@ class TestCriterion9:
         trials = 0
         for t, k in bases:
             pkg = cc.defect_package(t, k)
-            k_series = pkg.rank_delta - DegreeProfile.build(t, pkg, k).series_value
+            k_series = pkg.rank_delta - DegreeProfile.build(pkg, k).series_value
             fd = fd_report(pkg, k).fd_eval
             for _ in range(10):
                 u = random_unitary(rng, t.dim_h)
                 t2 = cc.conjugate_by_unitary(t, u)
                 pkg2 = cc.defect_package(t2, k)
-                k2 = pkg2.rank_delta - DegreeProfile.build(t2, pkg2, k).series_value
+                k2 = pkg2.rank_delta - DegreeProfile.build(pkg2, k).series_value
                 worst = max(worst, abs(k2 - k_series))
                 fd_ok &= fd_report(pkg2, k).fd_eval == fd
                 trials += 1

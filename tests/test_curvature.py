@@ -60,7 +60,7 @@ class TestDpsiSeries:
         t = cc.load_tuple([np.zeros((m, m))])
         k = cc.preset("dirichlet", d=1, N=40)
         pkg = cc.defect_package(t, k, n_op=30)
-        assert DegreeProfile.build(t, pkg, k, n_theta=30).series_value == pytest.approx(
+        assert DegreeProfile.build(pkg, k, n_theta=30).series_value == pytest.approx(
             m * k.b_partial_sum(30), abs=1e-12
         )
 
@@ -68,7 +68,7 @@ class TestDpsiSeries:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg = cc.defect_package(t, k)
-        assert DegreeProfile.build(t, pkg, k).series_value == pytest.approx(1.0, abs=1e-12)
+        assert DegreeProfile.build(pkg, k).series_value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_series(self):
         k = cc.preset("szego", d=1, N=5)
@@ -81,7 +81,7 @@ class TestWeightedRoute:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=14)
         pkg = cc.defect_package(t, k)
-        kw = curvature_weighted(DegreeProfile.build(t, pkg, k, 12), pkg.rank_delta)
+        kw = curvature_weighted(DegreeProfile.build(pkg, k, 12), pkg.rank_delta)
         assert np.allclose(kw[3:], 0.0, atol=1e-12)
         assert np.allclose(kw[:3], 1.0, atol=1e-12)
 
@@ -89,7 +89,7 @@ class TestWeightedRoute:
         t = cc.load_tuple([np.zeros((1, 1))])
         k = cc.preset("drury-arveson", d=1, N=10)
         pkg = cc.defect_package(t, k, n_op=1)
-        kw = curvature_weighted(DegreeProfile.build(t, pkg, k, 8, n_theta=1), pkg.rank_delta)
+        kw = curvature_weighted(DegreeProfile.build(pkg, k, 8, n_theta=1), pkg.rank_delta)
         assert np.allclose(kw[1:], 0.0, atol=1e-12)
 
     def test_vanishing_symbol_keeps_dim(self):
@@ -105,7 +105,7 @@ class TestWeightedRoute:
         t = cc.load_tuple([jordan_block(4)])
         k = cc.preset("szego", d=1, N=14)
         pkg, series = build(t, k)
-        profile = DegreeProfile.build(t, pkg, k, 12)
+        profile = DegreeProfile.build(pkg, k, 12)
         for n in range(series.degree + 2, 13):
             assert theta_trace_E_normalized(profile, n) == pytest.approx(
                 profile.series_value, abs=1e-10
@@ -149,7 +149,7 @@ class TestIntegralRoute:
         r = 0.7
         est = curvature_integral(pkg, k, radius=r, n_samples=200, seed=9)
         assert pkg.rank_delta - est.estimate == pytest.approx(
-            DegreeProfile.build(t, pkg, k).sphere_average(r), abs=1e-12
+            DegreeProfile.build(pkg, k).sphere_average(r), abs=1e-12
         )
 
     def test_sphere_average_is_constant_for_unitary_invariance(self):
@@ -192,7 +192,7 @@ def _certified(t, k):
     """(package, theta degree bound, profile) at the default horizons."""
     pkg = cc.defect_package(t, k)
     n_theta = theta_horizon(pkg, k)
-    return pkg, termination_bound(pkg, k, n_theta), DegreeProfile.build(t, pkg, k, n_theta=n_theta)
+    return pkg, termination_bound(pkg, k, n_theta), DegreeProfile.build(pkg, k, n_theta=n_theta)
 
 
 # the conftest structures in d = 1 and 2, with the kernels valid there
@@ -279,7 +279,7 @@ class TestPureRoute:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg = cc.defect_package(t, k)
-        profile = DegreeProfile.build(t, pkg, k)
+        profile = DegreeProfile.build(pkg, k)
         assert curvature_pure(pkg, True, profile, fd_estimate=1, purity_residual=0.0) == 0
 
     def test_zero_tuple(self):
@@ -287,7 +287,7 @@ class TestPureRoute:
         t = cc.load_tuple([np.zeros((m, m))])
         k = cc.preset("drury-arveson", d=1, N=8)
         pkg = cc.defect_package(t, k, n_op=1)
-        profile = DegreeProfile.build(t, pkg, k, n_theta=1)
+        profile = DegreeProfile.build(pkg, k, n_theta=1)
         assert curvature_pure(pkg, True, profile, fd_estimate=m, purity_residual=0.0) == 0
 
     def test_vanishing_symbol_extreme_case(self):
@@ -302,7 +302,7 @@ class TestPureRoute:
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         pkg = cc.defect_package(t, k)
-        profile = DegreeProfile.build(t, pkg, k)
+        profile = DegreeProfile.build(pkg, k)
         with pytest.raises(NotPure):
             curvature_pure(pkg, True, profile, fd_estimate=1, purity_residual=1.0)
 
@@ -372,7 +372,7 @@ class TestPipelineAndReconcile:
             n_theta=3,
             n_op=2,
             tail_bound=0.0,
-            convergence=ordering_rows(DegreeProfile.build(t, pkg, k1, 3)),
+            convergence=ordering_rows(DegreeProfile.build(pkg, k1, 3)),
         )
         with pytest.raises(ReconcileFailure):
             reconcile(report, pkg, k2)
@@ -389,13 +389,13 @@ class TestPipelineAndReconcile:
         build = DegreeProfile.build
         walk = tuples.purity
 
-        def counting(t, pkg, k, n_max=0, n_theta=None, traces=None):
+        def counting(pkg, k, n_max=0, n_theta=None, traces=None):
             builds.append(n_max)
-            return build(t, pkg, k, n_max, n_theta, traces)
+            return build(pkg, k, n_max, n_theta, traces)
 
-        def counting_walk(t, k, pkg, n_op=None, n_traces=0):
+        def counting_walk(pkg, k, n_op=None, n_traces=0):
             walks.append(n_traces)
-            return walk(t, k, pkg, n_op, n_traces)
+            return walk(pkg, k, n_op, n_traces)
 
         def unused(*args):
             raise AssertionError("theta_trace_E_normalized called")
@@ -424,11 +424,11 @@ class TestPipelineAndReconcile:
         t = random_nilpotent_tuple(rng)
         k = cc.preset("drury-arveson", d=t.d, N=14)
         pkg = cc.defect_package(t, k)
-        base = pkg.rank_delta - DegreeProfile.build(t, pkg, k).series_value
+        base = pkg.rank_delta - DegreeProfile.build(pkg, k).series_value
         for _ in range(3):
             t2 = cc.conjugate_by_unitary(t, random_unitary(rng, t.dim_h))
             pkg2 = cc.defect_package(t2, k)
-            val = pkg2.rank_delta - DegreeProfile.build(t2, pkg2, k).series_value
+            val = pkg2.rank_delta - DegreeProfile.build(pkg2, k).series_value
             assert val == pytest.approx(base, abs=1e-10)
 
     def test_parrott_d1(self, rng):
@@ -579,7 +579,7 @@ class TestDegenerateCodomain:
         assert pkg.rank_delta == 0
         est = curvature_integral(pkg, k, radius=0.5, n_samples=50, seed=1)
         assert est.estimate == 0.0 and est.stderr == 0.0
-        assert DegreeProfile.build(t, pkg, k, n_theta=4).series_value == 0.0
+        assert DegreeProfile.build(pkg, k, n_theta=4).series_value == 0.0
 
     def test_sample_count_validated(self):
         t = cc.load_tuple([jordan_block(2)])
@@ -604,7 +604,7 @@ class TestExplicitMatrixCrossCheck:
         ]
         for t, k in cases:
             pkg, series = build(t, k)
-            profile = DegreeProfile.build(t, pkg, k, 6)
+            profile = DegreeProfile.build(pkg, k, 6)
             for n in range(7):
                 chk = series_identity_check(k, series.coeffs, n)
                 assert chk.residual <= 1e-11

@@ -180,7 +180,7 @@ class TestGradedRoute:
             pkg, series = build(t, k, n_op=max(n_max, 1), n_theta=max(n_max, 1))
         assert series.rank_delta > 0 and series.rank_d > 0
         assert np.array_equal(
-            fd_by_grading(t, pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
+            fd_by_grading(pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
         )
 
     @pytest.mark.parametrize("d,top,n_max,name", _BENCHMARK_SHAPES)
@@ -191,7 +191,7 @@ class TestGradedRoute:
         t = cc.load_tuple([0.4 * u @ m @ u.conj().T for m in ops])
         pkg, series = build(t, k)
         assert np.array_equal(
-            fd_by_grading(t, pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
+            fd_by_grading(pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
         )
 
     @pytest.mark.parametrize("name,kernel", _FIXED_CASES)
@@ -203,7 +203,7 @@ class TestGradedRoute:
         n_cut = None if t.nilpotent_degree else n_max
         pkg, series = build(t, k, n_op=n_cut, n_theta=n_cut)
         assert np.array_equal(
-            fd_by_grading(t, pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
+            fd_by_grading(pkg, k, n_max), fd_by_grading_reference(series, k, n_max)
         )
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -217,26 +217,26 @@ class TestGradedRoute:
         pkg = cc.defect_package(t, k, n_op=3)
         cut = min(cut, n_max)
         assert np.array_equal(
-            fd_by_grading(t, pkg, k, cut), fd_by_grading(t, pkg, k, n_max)[: cut + 1]
+            fd_by_grading(pkg, k, cut), fd_by_grading(pkg, k, n_max)[: cut + 1]
         )
 
     def test_rejects_negative_degree(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         with pytest.raises(ValueError):
-            fd_by_grading(t, cc.defect_package(t, k), k, -1)
+            fd_by_grading(cc.defect_package(t, k), k, -1)
 
     def test_rejects_degree_past_the_horizon(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=10)
         with pytest.raises(HorizonExceeded):
-            fd_by_grading(t, cc.defect_package(t, k), k, 11)
+            fd_by_grading(cc.defect_package(t, k), k, 11)
 
     def test_jordan_sequence(self):
         t = cc.load_tuple([jordan_block(3)])
         k = cc.preset("szego", d=1, N=14)
         pkg = cc.defect_package(t, k)
-        seq = fd_by_grading(t, pkg, k, 12)
+        seq = fd_by_grading(pkg, k, 12)
         expected = [max(0, n - 2) / (n + 1) for n in range(13)]
         assert np.allclose(seq, expected)
 
@@ -244,7 +244,7 @@ class TestGradedRoute:
         t = cc.load_tuple([np.zeros((1, 1))])
         k = cc.preset("drury-arveson", d=1, N=12)
         pkg = cc.defect_package(t, k, n_op=1)
-        seq = fd_by_grading(t, pkg, k, 10)
+        seq = fd_by_grading(pkg, k, 10)
         expected = [n / (n + 1) for n in range(11)]
         assert np.allclose(seq, expected)
 
@@ -256,7 +256,7 @@ class TestGradedRoute:
         k = cc.preset("drury-arveson", d=d, N=12)
         pkg = cc.defect_package(t, k, n_op=1)
         counts = np.array([q(d, n) for n in range(9)])
-        assert np.allclose(fd_by_grading(t, pkg, k, 8), dim * (counts - 1) / counts)
+        assert np.allclose(fd_by_grading(pkg, k, 8), dim * (counts - 1) / counts)
 
     @pytest.mark.parametrize("name", sorted(_UNITARY))
     def test_zero_defect_rank_gives_zeros(self, name):
@@ -265,7 +265,7 @@ class TestGradedRoute:
         k = cc.preset(kernel, d=t.d, N=8)
         pkg = cc.defect_package(t, k, n_op=1)
         assert pkg.rank_delta == 0
-        assert np.array_equal(fd_by_grading(t, pkg, k, 6), np.zeros(7))
+        assert np.array_equal(fd_by_grading(pkg, k, 6), np.zeros(7))
 
     def test_peak_memory_of_the_walk(self):
         # d = 3, dimH 10 to degree 12: the multiplier's triangular factor
@@ -275,7 +275,7 @@ class TestGradedRoute:
         pkg = cc.defect_package(t, k)
         tracemalloc.start()
         try:
-            fd_by_grading(t, pkg, k, 12)
+            fd_by_grading(pkg, k, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,7 +286,7 @@ class TestGradedRoute:
         k = cc.preset("szego", d=1, N=10)
         pkg = cc.defect_package(t, k)
         # A_0 vanishes for this tuple, so the degree-0 quotient is 0
-        assert fd_by_grading(t, pkg, k, 0)[0] == 0.0
+        assert fd_by_grading(pkg, k, 0)[0] == 0.0
 
 
 class TestDirectSum:
@@ -311,7 +311,7 @@ class TestDirectSum:
 
         def h(t):
             pkg = cc.defect_package(t, k, n_op=horizon)
-            return np.rint(fd_by_grading(t, pkg, k, n_max) * counts).astype(int)
+            return np.rint(fd_by_grading(pkg, k, n_max) * counts).astype(int)
 
         assert np.array_equal(h(total), h(pair[0]) + h(pair[1]))
 
@@ -335,7 +335,7 @@ class TestUnitaryInvariance:
         n_max = {1: 10, 2: 6, 3: 5}[t.d]
 
         def graded(s):
-            return fd_by_grading(s, cc.defect_package(s, k, n_op=n_op), k, n_max)
+            return fd_by_grading(cc.defect_package(s, k, n_op=n_op), k, n_max)
 
         base = graded(t)
         for _ in range(2):
@@ -352,7 +352,7 @@ class TestUnitaryInvariance:
         t = cc.conjugate_by_unitary(cc.load_tuple([jordan_block(size)]), u)
         k = cc.preset("szego", d=1, N=16)
         expected = np.array([max(0, n - size + 1) / (n + 1) for n in range(13)])
-        assert np.array_equal(fd_by_grading(t, cc.defect_package(t, k), k, 12), expected)
+        assert np.array_equal(fd_by_grading(cc.defect_package(t, k), k, 12), expected)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**32 - 1),
@@ -367,7 +367,7 @@ class TestUnitaryInvariance:
         pkg = cc.defect_package(t, k)
         n_max = {1: 10, 2: 6, 3: 5}[t.d]
         counts = np.array([q(t.d, n) for n in range(n_max + 1)])
-        h = np.rint(fd_by_grading(t, pkg, k, n_max) * counts).astype(int)
+        h = np.rint(fd_by_grading(pkg, k, n_max) * counts).astype(int)
         nd = t.nilpotent_degree
         assert np.all(np.diff(h) >= 0)
         assert np.array_equal(h[nd - 1 :], pkg.rank_delta * counts[nd - 1 :] - t.dim_h)

@@ -7,6 +7,8 @@
 * The sigma walk (purity), the degree profile and `cnpcurv traces` take no
   eigendecomposition larger than dimH x dimH, and hold less memory than the
   tilde_dim x tilde_dim Gram alone would take.
+* The defect package, purity, the degree profile and `cnpcurv traces` never
+  enumerate the powers T^alpha behind the block row Ttilde.
 * `cnpcurv curvature`, `fd` and `theta` decompose the tilde_dim x tilde_dim
   matrix exactly once per request.
 """
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cnpcurv as cc
+import cnpcurv.pipeline
+import cnpcurv.tuples
 from cnpcurv.cli import main
 from cnpcurv.config import Tolerances
 from cnpcurv.curvature import DegreeProfile
@@ -52,6 +56,20 @@ def eigh_shapes(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recording)
     return shapes
+
+
+@pytest.fixture
+def degree_power_calls(monkeypatch):
+    """Each call of the block row's power walk tuples._degree_powers."""
+    calls = []
+    real = cnpcurv.tuples._degree_powers
+
+    def recording(ops, max_degree):
+        calls.append(max_degree)
+        return real(ops, max_degree)
+
+    monkeypatch.setattr(cnpcurv.tuples, "_degree_powers", recording)
+    return calls
 
 
 @st.composite
@@ -96,10 +114,43 @@ def test_sigma_walk_and_profile_stay_on_dim_h(d, name, nilpotent, eigh_shapes):
         t, n_op = random_commuting_tuple(rng, d, 4), 3
     k = cc.preset(name, d=d, N=10)
     pkg = cc.defect_package(t, k, n_op=n_op)
-    cc.purity(t, k, pkg)
-    DegreeProfile.build(t, pkg, k, n_max=6)
+    cc.purity(pkg, k)
+    DegreeProfile.build(pkg, k, n_max=6)
     assert eigh_shapes and max(max(s) for s in eigh_shapes) <= t.dim_h
     assert not _tilde_built(pkg)
+
+
+@pytest.mark.parametrize(
+    "d,nilpotent", [(d, nil) for d in (1, 2, 3) for nil in (True, False)]
+)
+def test_walk_and_profile_build_no_block_row(d, nilpotent, degree_power_calls):
+    rng = np.random.default_rng(5)
+    if nilpotent:
+        t, n_op = random_nilpotent_tuple(rng, STRUCTURES[d][-1]), None
+    else:
+        t, n_op = random_commuting_tuple(rng, d, 4), 3
+    k = cc.preset("dirichlet", d=d, N=10)
+    pkg = cc.defect_package(t, k, n_op=n_op)
+    cc.purity(pkg, k, n_traces=6)
+    DegreeProfile.build(pkg, k, n_max=6)
+    assert degree_power_calls == []
+    assert not _tilde_built(pkg)
+
+
+def test_traces_command_builds_no_block_row(tmp_path, degree_power_calls, monkeypatch, capsys):
+    packages_built = []
+    real = cnpcurv.pipeline.defect_package
+
+    def keeping(*args, **kwargs):
+        packages_built.append(real(*args, **kwargs))
+        return packages_built[-1]
+
+    monkeypatch.setattr(cnpcurv.pipeline, "defect_package", keeping)
+    f = write_tuple(tmp_path / "t.json", [0.4 * s for s in truncated_shift_ops(2, 3)])
+    assert main(["traces", "--input", f, "--kernel", "dirichlet", "--max-n", "6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert degree_power_calls == []
+    assert len(packages_built) == 1 and not _tilde_built(packages_built[0])
 
 
 def test_profile_peak_memory_below_tilde_gram():
@@ -110,7 +161,7 @@ def test_profile_peak_memory_below_tilde_gram():
     tracemalloc.start()
     try:
         pkg = cc.defect_package(t, k, n_op=3)
-        DegreeProfile.build(t, pkg, k, n_max=3)
+        DegreeProfile.build(pkg, k, n_max=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -76,7 +76,7 @@ def test_profile_matches_dense_oracle(case, n_max):
     pkg = cc.defect_package(t, k)
     series = cc.taylor(pkg, k)
     assume(series.rank_delta > 0 and series.rank_d > 0)
-    rows = ordering_rows(DegreeProfile.build(t, pkg, k, n_max))
+    rows = ordering_rows(DegreeProfile.build(pkg, k, n_max))
     space, x = multiplier_gram(k, series.coeffs, max_degree=n_max)
     for row, ref in zip(rows, trace_table(space, x, n_max), strict=True):
         assert row["n"] == ref.n
@@ -100,7 +100,7 @@ def test_direct_sum_adds_degree_profiles(first, second_seed, second_size):
     c = []
     for t in tuples:
         pkg = cc.defect_package(t, k, n_op=horizon)
-        c.append(DegreeProfile.build(t, pkg, k, n_theta=horizon).c)
+        c.append(DegreeProfile.build(pkg, k, n_theta=horizon).c)
     assert np.allclose(c[2], c[0] + c[1], rtol=1e-10, atol=1e-10)
 
 
@@ -175,7 +175,7 @@ def test_sigma_route_matches_taylor_oracle(case, data):
     # is certified to vanish beyond them
     top = 16 if k.b_is_zero_beyond(pkg.n_op) else pkg.n_op
     n_theta = data.draw(st.none() | st.integers(0, top))
-    got = DegreeProfile.build(t, pkg, k, n_max, n_theta)
+    got = DegreeProfile.build(pkg, k, n_max, n_theta)
     ref = profile_from_series(cc.taylor(pkg, k, n_theta), k, n_max)
     for key in ("c", "t_e", "t_p", "dpsi_partial"):
         a, b = getattr(got, key), getattr(ref, key)
@@ -190,7 +190,7 @@ def test_sigma_route_past_kernel_horizon(name):
     k = _kernel(name, 1, 12)
     t = cc.load_tuple(_commuting_ops(np.random.default_rng(3), 1, 3, "power"))
     pkg = cc.defect_package(t, k, n_op=3)
-    got = DegreeProfile.build(t, pkg, k, 8, n_theta=16)
+    got = DegreeProfile.build(pkg, k, 8, n_theta=16)
     ref = profile_from_series(cc.taylor(pkg, k, n_theta=16), k, 8)
     assert np.all(np.abs(got.c - ref.c) <= 1e-12 * np.maximum(1.0, np.abs(ref.c)))
 

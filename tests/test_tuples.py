@@ -20,7 +20,7 @@ from cnpcurv.errors import (
 from cnpcurv.tuples import _tail_certificate, default_horizon, op_norm
 
 from conftest import jordan_block, random_commuting_tuple, random_nilpotent_tuple, random_unitary
-from oracles import nilpotency_degree_reference, purity_reference
+from oracles import block_sum_reference, nilpotency_degree_reference, purity_reference
 
 
 class TestLoadTuple:
@@ -253,6 +253,32 @@ class TestDefectPackage:
                 assert pkg.delta_identity_residual <= 1e-10
                 assert pkg.intertwine_residual <= 1e-10
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [(1, name) for name in ("szego", "drury-arveson", "dirichlet")]
+            + [(d, name) for d in (2, 3) for name in ("drury-arveson", "dirichlet")]
+        ),
+        nilpotent=st.booleans(),
+        n_op=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_s_n_equals_block_sum(self, case, nilpotent, n_op, seed):
+        # the sigma walk's S_N against sum b_alpha T^alpha (T^alpha)*, and
+        # its Delta^2 against the block row's Ttilde Ttilde*
+        d, name = case
+        rng = np.random.default_rng(seed)
+        if nilpotent:
+            structure = {1: ("jordan", 1, None), 2: ("shift", 2, 3), 3: ("shift", 3, 2)}[d]
+            t = random_nilpotent_tuple(rng, structure)
+        else:
+            t = random_commuting_tuple(rng, d, int(rng.integers(1, 6)))
+        k = cc.preset(name, d=d, N=10)
+        pkg = cc.defect_package(t, k, n_op=n_op)
+        gap = op_norm(pkg.s_n - block_sum_reference(t, k, n_op))
+        assert gap <= 1e-13 * max(1.0, op_norm(pkg.s_n))
+        assert pkg.delta_identity_residual <= 1e-12
+
     def test_s_n_stable_under_longer_horizon(self, rng):
         t = random_nilpotent_tuple(rng)
         k = cc.preset("dirichlet", d=t.d, N=20)
@@ -332,7 +358,7 @@ class TestPurity:
         k = cc.preset("szego", d=1, N=10)
         t = cc.load_tuple([jordan_block(3)])
         pkg = cc.defect_package(t, k)
-        rep = cc.purity(t, k, pkg)
+        rep = cc.purity(pkg, k)
         assert rep.purity_residual <= 1e-14
         assert rep.exact
 
@@ -340,14 +366,14 @@ class TestPurity:
         k = cc.preset("dirichlet", d=1, N=8)
         t = cc.load_tuple([np.zeros((3, 3))])
         pkg = cc.defect_package(t, k, n_op=2)
-        rep = cc.purity(t, k, pkg)
+        rep = cc.purity(pkg, k)
         assert rep.purity_residual == pytest.approx(0.0, abs=1e-15)
 
     def test_scalar_half_geometric_tail(self):
         k = cc.preset("szego", d=1, N=30)
         t = cc.load_tuple([np.array([[0.5]])])
         pkg = cc.defect_package(t, k, n_op=20)
-        rep = cc.purity(t, k, pkg, n_op=20)
+        rep = cc.purity(pkg, k, n_op=20)
         # partial sum 1 - 4^{-(N+1)}
         assert rep.purity_residual == pytest.approx(0.25**21, rel=1e-6)
         assert rep.purity_residual < 1e-12
@@ -368,7 +394,7 @@ class TestPurity:
                 k = cc.preset(name, d=d, N=12)
                 pkg = cc.defect_package(t, k, n_op=None if nilpotent else 6)
                 for n_op in (pkg.n_op, pkg.n_op + 3):
-                    rep = cc.purity(t, k, pkg, n_op=n_op)
+                    rep = cc.purity(pkg, k, n_op=n_op)
                     ref = purity_reference(t, k, pkg, n_op)
                     assert op_norm(rep.p_n - ref) <= 1e-13 * op_norm(ref)
 
